@@ -33,13 +33,7 @@ from .errors import (
     TooFewPointsError,
     WrongCategoryError,
 )
-from .graphs import (
-    BipartiteStructure,
-    Graph,
-    Metric,
-    all_pairs_distances,
-    bipartite_decompose,
-)
+from .graphs import BipartiteStructure, Graph, Metric
 from .transport import DEFAULT_TOL_GAP, _flow_value
 from .walks import Guvab, point_mass, stationary_pi, transition_matrix
 
@@ -173,8 +167,8 @@ def classify(guvab: Guvab, tol_gap: float = DEFAULT_TOL_GAP) -> ClassificationRe
     """
     graph, u, v = guvab.graph, guvab.u, guvab.v
     alpha, beta = guvab.alpha, guvab.beta
-    metric = all_pairs_distances(graph)
-    bip = bipartite_decompose(graph)
+    metric = graph.metric
+    bip = graph.bipartite
     div_sum: float | None = None
 
     if graph.n == 1:
@@ -242,8 +236,8 @@ def predict_constancy(guvab: Guvab) -> tuple[bool, str | None]:
     alpha, beta = guvab.alpha, guvab.beta
     if graph.n == 1:
         return True, "single-vertex graph: both walks are frozen"
-    bip = bipartite_decompose(graph)
-    metric = all_pairs_distances(graph)
+    bip = graph.bipartite
+    metric = graph.metric
     if _near(alpha, 0.0) and _near(beta, 0.0):
         if bip.is_bipartite and metric.dist[u, v] % 2 == 1:
             return True, "lazinesses 0 on a bipartite graph with odd u-v distance"

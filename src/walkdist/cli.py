@@ -26,13 +26,12 @@ from . import analysis, transport, tree_transport, walks
 from .analysis import Category
 from .errors import NoLaterNeighborError, WalkdistError
 from .graphs import (
-    all_pairs_distances,
     enumerate_connected_graphs,
     load_graph_file,
     r_monotone_ordering,
     spanning_tree,
 )
-from .walks import Guvab, point_mass, transition_matrix
+from .walks import Guvab, transition_matrix
 
 EXIT_OK = 0
 EXIT_USER_ERROR = 2
@@ -42,6 +41,8 @@ EXIT_PRECONDITION = 4
 CLASS_SIM_TOL = 1e-5  # closed-form limit vs late simulation
 RATE_MATCH_TOL = 1e-3  # fitted decay factor vs eigenvalue modulus
 FIT_RESIDUAL_TOL = 1e-3  # log-RMS residual above which a fit is not trusted
+SPOT_CHECK_TOL = 1e-9  # sweep's corner-dual W_k vs an independent flow solve
+SWEEP_GRID = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0)  # default sweep lazinesses
 
 
 def _fmt(x: float) -> str:
@@ -75,7 +76,9 @@ class RunConfig:
     fmt: str
 
 
-def _add_common_flags(p: argparse.ArgumentParser, with_kmax: bool = True) -> None:
+def _add_common_flags(
+    p: argparse.ArgumentParser, formats: tuple[str, ...], with_kmax: bool = True
+) -> None:
     p.add_argument("--config", help="JSON config file (graph, u, v, alpha, beta)")
     p.add_argument("--graph", help="graph text file ('n m' header then edge lines)")
     p.add_argument("--u", type=int, help="start vertex of the alpha walk")
@@ -85,10 +88,9 @@ def _add_common_flags(p: argparse.ArgumentParser, with_kmax: bool = True) -> Non
     if with_kmax:
         p.add_argument("--kmax", type=int, default=60, help="last step index")
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+    p.add_argument("--format", dest="fmt", choices=formats, default=None)
     p.add_argument("--tol-mass", type=float, default=walks.DEFAULT_TOL_MASS)
     p.add_argument("--tol-gap", type=float, default=transport.DEFAULT_TOL_GAP)
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
 
 def _build_config(args, default_fmt: str) -> RunConfig:
@@ -194,7 +196,7 @@ def cmd_trace(cfg: RunConfig) -> int:
 def cmd_tree_transport(cfg: RunConfig, k: int) -> int:
     guvab = cfg.guvab
     graph = guvab.graph
-    metric = all_pairs_distances(graph)
+    metric = graph.metric
     tree = spanning_tree(graph)
     ordering = r_monotone_ordering(tree)
     xi = walks.xi_k(guvab, k)
@@ -227,12 +229,13 @@ def cmd_tree_transport(cfg: RunConfig, k: int) -> int:
 
 def cmd_distance(args) -> int:
     graph = load_graph_file(args.graph)
-    metric = all_pairs_distances(graph)
     with open(args.mu, "r", encoding="utf-8") as fh:
         mu = transport.distribution_from_csv(fh.read(), graph.n)
     with open(args.nu, "r", encoding="utf-8") as fh:
         nu = transport.distribution_from_csv(fh.read(), graph.n)
-    result = transport.wasserstein_between(mu, nu, graph, metric, tol_mass=args.tol_mass)
+    result = transport.wasserstein_between(
+        mu, nu, graph, graph.metric, tol_mass=args.tol_mass
+    )
     xi = walks.signed_distribution(mu.values - nu.values, tol_mass=args.tol_mass)
     dual = transport.dual_value(result.potential, xi, graph)
     fmt = args.fmt or "json"
@@ -257,20 +260,31 @@ def cmd_distance(args) -> int:
 
 # -- sweep -------------------------------------------------------------------------
 
-def _sweep_series(guvab: Guvab, limits: tuple[float, float], fit_cap: int):
-    """W_k for k = 0..(adaptive stop): far enough for the constancy window and
-    until both parity errors die, capped at fit_cap."""
-    graph = guvab.graph
-    p_a = transition_matrix(graph, guvab.alpha).entries
-    p_b = transition_matrix(graph, guvab.beta).entries
-    mu = point_mass(graph.n, guvab.u).values.copy()
-    nu = point_mass(graph.n, guvab.v).values.copy()
-    series = [(0, transport._flow_value(graph, mu - nu))]
+def _sweep_series(graph, p_a: np.ndarray, p_b: np.ndarray, k_max: int):
+    """xi_k and W_k for every start pair (u, v) and k = 0..k_max at once.
+
+    Returns (xi, table): ``xi[k, u, v]`` is mu_k - nu_k for walks started at
+    u and v, and ``table[k, u, v]`` its Wasserstein distance, the largest
+    dual objective over the graph's integer 1-Lipschitz corners.
+    """
+    n = graph.n
+    mu = np.empty((k_max + 1, n, n))
+    nu = np.empty((k_max + 1, n, n))
+    mu[0] = nu[0] = np.eye(n)
+    for k in range(1, k_max + 1):
+        mu[k] = mu[k - 1] @ p_a
+        nu[k] = nu[k - 1] @ p_b
+    xi = mu[:, :, None, :] - nu[:, None, :, :]
+    return xi, transport.corner_values(xi, graph.corners)
+
+
+def _settled_prefix(ws: list[float], limits: tuple[float, float]):
+    """(k, W_k) up to the adaptive stop: past the constancy window and until
+    both parity errors die, or the whole table."""
+    series = [(0, ws[0])]
     dead_run = 0
-    for k in range(1, fit_cap + 1):
-        mu = mu @ p_a
-        nu = nu @ p_b
-        w = transport._flow_value(graph, mu - nu)
+    for k in range(1, len(ws)):
+        w = ws[k]
         series.append((k, w))
         dead_run = dead_run + 1 if abs(w - limits[k % 2]) < 1e-12 else 0
         if k > 41 and dead_run >= 2:
@@ -323,24 +337,35 @@ def run_sweep(
         for a, b in pairs:
             p_a = transition_matrix(graph, a).entries
             p_b = transition_matrix(graph, b).entries
+            xi, table = _sweep_series(graph, p_a, p_b, fit_cap)
+            by_start = table.transpose(1, 2, 0).tolist()  # [u][v] -> W_0..W_fit_cap
             k_hi = k_max if k_max % 2 == 0 else k_max + 1
             pow_a = np.linalg.matrix_power(p_a, k_hi)
             pow_b = np.linalg.matrix_power(p_b, k_hi)
             pow_a1 = pow_a @ p_a
             pow_b1 = pow_b @ p_b
+            sims_even = transport.corner_values(
+                pow_a[:, None, :] - pow_b[None, :, :], graph.corners
+            )
+            sims_odd = transport.corner_values(
+                pow_a1[:, None, :] - pow_b1[None, :, :], graph.corners
+            )
             union_moduli = np.concatenate([moduli(a), moduli(b)])
             for u in range(graph.n):
                 for v in range(graph.n):
                     guvab = Guvab(graph=graph, u=u, v=v, alpha=a, beta=b)
                     report = analysis.classify(guvab, tol_gap=tol_gap)
-                    sim_even = transport._flow_value(graph, pow_a[u] - pow_b[v])
-                    sim_odd = transport._flow_value(graph, pow_a1[u] - pow_b1[v])
-                    err_even = abs(sim_even - report.limit_even)
-                    err_odd = abs(sim_odd - report.limit_odd)
+                    err_even = abs(float(sims_even[u, v]) - report.limit_even)
+                    err_odd = abs(float(sims_odd[u, v]) - report.limit_odd)
                     if err_even > CLASS_SIM_TOL or err_odd > CLASS_SIM_TOL:
                         discrepancies += 1
                     limits = (report.limit_even, report.limit_odd)
-                    series = _sweep_series(guvab, limits, fit_cap)
+                    series = _settled_prefix(by_start[u][v], limits)
+                    # independent check of the corner table: one flow solve per row
+                    k_spot = 1 + (len(lines) - 1) % 40
+                    w_flow = transport._flow_value(graph, xi[k_spot, u, v])
+                    if abs(w_flow - by_start[u][v][k_spot]) > SPOT_CHECK_TOL:
+                        discrepancies += 1
                     if report.category is Category.W1:
                         check = True
                     elif report.category is Category.W_HALF:
@@ -403,14 +428,7 @@ def run_sweep(
 
 
 def cmd_sweep(args) -> int:
-    grid = [float(x) for x in args.grid.split(",")] if args.grid else [
-        0.0,
-        0.25,
-        1.0 / 3.0,
-        0.5,
-        0.75,
-        1.0,
-    ]
+    grid = [float(x) for x in args.grid.split(",")] if args.grid else list(SWEEP_GRID)
     text, discrepancies, skipped = run_sweep(
         args.nmax, grid, args.kmax, tol_gap=args.tol_gap
     )
@@ -434,13 +452,13 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="limit category and constancy verdict")
-    _add_common_flags(p, with_kmax=False)
+    _add_common_flags(p, ("json",), with_kmax=False)
 
     p = sub.add_parser("trace", help="W_k series with error column")
-    _add_common_flags(p)
+    _add_common_flags(p, ("csv", "json"))
 
     p = sub.add_parser("tree-transport", help="run the settling algorithm on xi_k")
-    _add_common_flags(p, with_kmax=False)
+    _add_common_flags(p, ("json",), with_kmax=False)
     p.add_argument("--k", type=int, default=0, help="step index of xi to transport")
 
     p = sub.add_parser("distance", help="Wasserstein between two distribution files")
@@ -451,7 +469,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
     p.add_argument("--tol-mass", type=float, default=walks.DEFAULT_TOL_MASS)
     p.add_argument("--tol-gap", type=float, default=transport.DEFAULT_TOL_GAP)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("sweep", help="exhaustive validation over small graphs")
     p.add_argument("--nmax", type=int, required=True)
@@ -461,7 +478,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", choices=("csv",), default="csv")
     p.add_argument("--tol-mass", type=float, default=walks.DEFAULT_TOL_MASS)
     p.add_argument("--tol-gap", type=float, default=transport.DEFAULT_TOL_GAP)
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 

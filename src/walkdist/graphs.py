@@ -7,13 +7,15 @@ as read-only numpy arrays, and all operations are pure functions.
 Beyond validation this module provides the shortest-path metric, the
 bipartite 2-coloring, a canonical BFS spanning tree with its leaf-distance
 rank ``r``, the r-monotone vertex ordering used by the tree-based transport
-algorithm, and exhaustive enumeration of small labeled connected graphs.
+algorithm, the integer 1-Lipschitz vertex functions (the corners of the
+transport dual), and exhaustive enumeration of small labeled connected graphs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
@@ -37,7 +39,9 @@ class Graph:
     """Validated finite connected simple graph.
 
     ``adjacency[i]`` is the sorted tuple of neighbors of ``i``; ``edges``
-    lists each unordered pair once as ``(i, j)`` with ``i < j``.
+    lists each unordered pair once as ``(i, j)`` with ``i < j``.  Derived
+    structure (``metric``, ``bipartite``, ``corners``) is computed on first
+    use and kept on the instance, so it lives exactly as long as the graph.
     """
 
     n: int
@@ -54,6 +58,19 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def metric(self) -> Metric:
+        return all_pairs_distances(self)
+
+    @cached_property
+    def bipartite(self) -> BipartiteStructure:
+        return bipartite_decompose(self)
+
+    @cached_property
+    def corners(self) -> np.ndarray:
+        """Read-only (count, n) matrix of :func:`integer_lipschitz_functions`."""
+        return integer_lipschitz_functions(self)
 
     def __repr__(self) -> str:  # compact, deterministic
         return f"Graph(n={self.n}, edges={list(self.edges)})"
@@ -242,6 +259,54 @@ def spanning_tree(graph: Graph) -> SpanningTree:
                 r[w] = r[v] + 1
                 queue.append(w)
     return SpanningTree(tree_edges=tuple(sorted(tree_edges)), leaves=leaves, r=tuple(r))
+
+
+def integer_lipschitz_functions(graph: Graph) -> np.ndarray:
+    """All integer vertex functions with ell[0] = 0 and edge steps <= 1.
+
+    These are the corners of the Kantorovich-Rubinstein dual polytope (its
+    constraint matrix is a graph incidence matrix, hence totally unimodular),
+    so the Wasserstein distance of a zero-sum xi is the largest ``ell . xi``
+    over the rows.  At most 3^(n-1) rows: exponential in n.
+    """
+    n = graph.n
+    bound = n - 1
+    # assign vertices in BFS order so each new vertex sees an assigned neighbor
+    order: list[int] = [0]
+    seen = {0}
+    for v in order:
+        for w in graph.adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    assigned_before: list[frozenset[int]] = []
+    placed: set[int] = set()
+    for v in order:
+        assigned_before.append(frozenset(placed))
+        placed.add(v)
+
+    rows: list[tuple[int, ...]] = []
+    assignment = [0] * n
+
+    def assign(idx: int) -> None:
+        if idx == n:
+            rows.append(tuple(assignment))
+            return
+        v = order[idx]
+        lo, hi = -bound, bound
+        for w in graph.adjacency[v]:
+            if w in assigned_before[idx]:
+                lo = max(lo, assignment[w] - 1)
+                hi = min(hi, assignment[w] + 1)
+        for val in range(lo, hi + 1):
+            assignment[v] = val
+            assign(idx + 1)
+
+    if n == 1:
+        rows.append((0,))
+    else:
+        assign(1)
+    return _frozen_array(np.array(rows, dtype=float))
 
 
 def r_monotone_ordering(tree: SpanningTree) -> ROrdering:

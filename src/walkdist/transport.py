@@ -174,14 +174,16 @@ def _min_cost_flow(graph: Graph, supply: np.ndarray):
     raise RuntimeError("min-cost flow failed to settle supplies")  # pragma: no cover
 
 
-def _decompose_flows(
-    n: int, arc_flows: dict[tuple[int, int], float], supply: np.ndarray
-) -> TransportPlan:
+def _decompose_flows(n: int, arc_flows: dict[tuple[int, int], float]) -> TransportPlan:
     """Path-decompose acyclic arc flows into a (source, target) plan.
 
-    Works for any arc flow whose divergence equals the supply vector and
-    whose positive-flow arcs contain no directed cycle; both the min-cost
-    solver and the tree-based transport algorithm produce such flows.
+    Works for any arc flow whose positive-flow arcs contain no directed
+    cycle; both the min-cost solver and the tree-based transport algorithm
+    produce such flows.  Arcs carrying at most ``_DUST`` are dropped, and
+    supplies and demands are the divergence of the arcs that are kept.  A
+    path that reaches a dead end (what is left there is split over arcs that
+    each carry dust) drops that residue instead of routing it, so a vertex's
+    marginals differ from the flow's divergence by dust only.
     """
     remaining: dict[tuple[int, int], float] = {}
     for (a, b), f in arc_flows.items():
@@ -189,27 +191,36 @@ def _decompose_flows(
             remaining[(a, b)] = f
         elif f < -_DUST:
             remaining[(b, a)] = -f
+    divergence = [0.0] * n
+    for (a, b), f in remaining.items():
+        divergence[a] += f
+        divergence[b] -= f
     out: dict[int, list[int]] = {}
     for a, b in sorted(remaining):
         out.setdefault(a, []).append(b)
-    supply_rem = [max(float(x), 0.0) for x in supply]
-    demand_rem = [max(-float(x), 0.0) for x in supply]
+    supply_rem = [max(x, 0.0) for x in divergence]
+    demand_rem = [max(-x, 0.0) for x in divergence]
     moves: dict[tuple[int, int], float] = {}
     # each pass zeroes an arc, a supply, or a demand, bounding the loop
-    for _ in range(len(remaining) + 2 * len(supply) + 4):
-        src = next((i for i, s in enumerate(supply_rem) if s > 10 * _DUST), -1)
+    for _ in range(len(remaining) + 2 * n + 4):
+        src = next((i for i, s in enumerate(supply_rem) if s > _DUST), -1)
         if src < 0:
             break
         path = [src]
         v = src
-        while v == src or demand_rem[v] <= 10 * _DUST:
-            nxt = next(
+        while v == src or demand_rem[v] <= _DUST:
+            v = next(
                 (w for w in out.get(v, ()) if remaining.get((v, w), 0.0) > _DUST), -1
             )
-            if nxt < 0:
-                raise RuntimeError("flow decomposition stalled")  # pragma: no cover
-            path.append(nxt)
-            v = nxt
+            if v < 0:
+                break
+            path.append(v)
+        if v < 0:
+            if len(path) == 1:
+                supply_rem[src] = 0.0
+            else:
+                remaining[(path[-2], path[-1])] = 0.0
+            continue
         amount = min(
             supply_rem[src],
             demand_rem[v],
@@ -249,7 +260,7 @@ def wasserstein(
         )
     flows, pot = _min_cost_flow(graph, values)
     value = float(sum(abs(f) for f in flows.values()))
-    plan = _decompose_flows(n, flows, values)
+    plan = _decompose_flows(n, flows)
     ell = -np.array(pot)
     anchor = int(np.argmax(values))
     ell -= ell[anchor]
@@ -320,59 +331,18 @@ def wasserstein_oracle(
         )
     values = np.asarray(xi.values, dtype=float)
     _require_zero_sum(values, tol_mass)
-    corners = _integer_lipschitz_functions(graph)
-    return float(np.max(corners @ values))
+    return float(corner_values(values, graph.corners))
 
 
-_LIPSCHITZ_CACHE: dict[Graph, np.ndarray] = {}
+def corner_values(xi: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Wasserstein distance of each zero-sum vector along xi's last axis.
 
-
-def _integer_lipschitz_functions(graph: Graph) -> np.ndarray:
-    """All integer vertex functions with ell[0] = 0 and edge steps <= 1."""
-    cached = _LIPSCHITZ_CACHE.get(graph)
-    if cached is not None:
-        return cached
-    n = graph.n
-    bound = n - 1
-    # assign vertices in BFS order so each new vertex sees an assigned neighbor
-    order: list[int] = [0]
-    seen = {0}
-    for v in order:
-        for w in graph.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    assigned_before: list[frozenset[int]] = []
-    placed: set[int] = set()
-    for v in order:
-        assigned_before.append(frozenset(placed))
-        placed.add(v)
-
-    rows: list[tuple[int, ...]] = []
-    assignment = [0] * n
-
-    def assign(idx: int) -> None:
-        if idx == n:
-            rows.append(tuple(assignment))
-            return
-        v = order[idx]
-        lo, hi = -bound, bound
-        for w in graph.adjacency[v]:
-            if w in assigned_before[idx]:
-                lo = max(lo, assignment[w] - 1)
-                hi = min(hi, assignment[w] + 1)
-        for val in range(lo, hi + 1):
-            assignment[v] = val
-            assign(idx + 1)
-
-    if n == 1:
-        rows.append((0,))
-    else:
-        assign(1)
-    matrix = np.array(rows, dtype=float)
-    matrix.setflags(write=False)
-    _LIPSCHITZ_CACHE[graph] = matrix
-    return matrix
+    ``max over corners ell of ell . xi``, with ``corners`` from
+    :attr:`Graph.corners`.  Batched over any leading axes; the dot products
+    are taken with xi itself (not as a difference of two dot products), so a
+    small distance keeps its relative accuracy.
+    """
+    return (xi @ corners.T).max(axis=-1)
 
 
 # -- CSV serialization ---------------------------------------------------------

@@ -113,7 +113,7 @@ def run_tree_transport(
             state[w] = 0.0
         all_moves.append(tuple(step_moves))
         states.append(state.copy())
-    plan = _decompose_flows(n, {k: v for k, v in arc_flows.items()}, values)
+    plan = _decompose_flows(n, arc_flows)
     return AlgorithmTrace(states=tuple(states), moves=tuple(all_moves), plan=plan)
 
 

@@ -26,7 +26,7 @@ from .errors import (
     LazinessOutOfRangeError,
     NotBipartiteError,
 )
-from .graphs import BipartiteStructure, Graph, bipartite_decompose, load_graph_file
+from .graphs import BipartiteStructure, Graph, load_graph_file
 
 DEFAULT_TOL_MASS = 1e-9
 
@@ -39,7 +39,8 @@ class Distribution:
     """Real-valued vector over vertices, tagged probability or signed.
 
     Probability distributions are nonnegative and sum to 1; signed
-    distributions sum to 0.  Both checks use a mass tolerance.
+    distributions sum to 0.  Both checks use a mass tolerance.  Every value
+    must be finite, whatever the kind.
     """
 
     values: np.ndarray
@@ -47,6 +48,8 @@ class Distribution:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).copy()
+        if not np.isfinite(v).all():
+            raise InvalidDistributionError("distribution has a non-finite mass")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -243,7 +246,7 @@ def limit_xi(guvab: Guvab) -> tuple[Distribution, Distribution]:
     Exact up to formula arithmetic; iteration is only ever used as a
     cross-check, never to produce these values.
     """
-    bip = bipartite_decompose(guvab.graph)
+    bip = guvab.graph.bipartite
     mu_even, mu_odd = walk_parity_limits(guvab.graph, bip, guvab.u, guvab.alpha)
     nu_even, nu_odd = walk_parity_limits(guvab.graph, bip, guvab.v, guvab.beta)
     return (

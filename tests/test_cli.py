@@ -7,7 +7,16 @@ import json
 import pytest
 
 import walkdist.cli as cli
-from walkdist import NoLaterNeighborError, cycle_graph, graph_to_text, path_graph
+from walkdist import (
+    NoLaterNeighborError,
+    complete_graph,
+    cycle_graph,
+    enumerate_connected_graphs,
+    graph_to_text,
+    path_graph,
+    transition_matrix,
+)
+from walkdist import transport
 
 
 def run_cli(argv, capsys):
@@ -82,6 +91,32 @@ def test_classify_from_config(tmp_path, c4_file, capsys):
     code, out, _ = run_cli(["classify", "--config", str(cfg)], capsys)
     assert code == 0
     assert json.loads(out)["category"] == "W_HALF"
+
+
+@pytest.mark.parametrize("command", ["classify", "tree-transport"])
+def test_json_only_commands_reject_csv_format(command, c4_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--graph", c4_file, "--u", "0", "--v", "1",
+                  "--alpha", "0", "--beta", "0", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--u", "0", "--v", "1", "--alpha", "0", "--beta", "0"],
+        ["distance", "--mu", "mu.csv", "--nu", "nu.csv"],
+        ["sweep", "--nmax", "2"],
+    ],
+)
+def test_seed_flag_is_gone(argv, c4_file, capsys):
+    if argv[0] != "sweep":
+        argv = argv + ["--graph", c4_file]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 # -- trace ---------------------------------------------------------------------------
@@ -190,6 +225,23 @@ def test_tree_transport_zero_xi(c4_file, capsys):
     assert payload["wasserstein"] == 0.0
 
 
+def test_tree_transport_dust_split_xi(tmp_path, capsys):
+    # xi_43 on K3 is ~1.1e-13 at vertex 1, split into two arcs below the dust level
+    k3 = tmp_path / "k3.txt"
+    k3.write_text(graph_to_text(complete_graph(3)))
+    code, out, _ = run_cli(
+        [
+            "tree-transport", "--graph", str(k3), "--u", "1", "--v", "0",
+            "--alpha", "0", "--beta", "0", "--k", "43",
+        ],
+        capsys,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert 0.0 < payload["half_l1"] < 1e-12
+    assert payload["trace"]["plan"] == []
+
+
 def test_tree_transport_precondition_exit_code(c4_file, capsys, monkeypatch):
     # canonical orderings are not known to strand mass; exercise the exit-code
     # contract by injecting the failure
@@ -256,6 +308,20 @@ def test_distance_unbalanced(tmp_path, p3_file, capsys):
     assert "mass" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_distance_rejects_non_finite_mass(bad, tmp_path, p3_file, capsys):
+    mu = tmp_path / "mu.csv"
+    mu.write_text(f"vertex,mass\n0,{bad}\n1,1.0\n")
+    nu = tmp_path / "nu.csv"
+    nu.write_text("vertex,mass\n2,1.0\n")
+    code, out, err = run_cli(
+        ["distance", "--graph", p3_file, "--mu", str(mu), "--nu", str(nu)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
 # -- sweep ----------------------------------------------------------------------------------
 
 def test_sweep_n3_default_grid(tmp_path, capsys):
@@ -298,7 +364,7 @@ def test_sweep_custom_grid_skips_reversed_pairs(tmp_path, capsys):
 
 
 def test_sweep_n4_full_grid_exits_clean(tmp_path, capsys):
-    # full exhaustive harness; ~20 s
+    # full exhaustive harness; ~5 s
     out_path = tmp_path / "sweep4.csv"
     code, _, _ = run_cli(
         ["sweep", "--nmax", "4", "--grid", "0,0.25,0.5,0.3333333333333333,0.75,1",
@@ -307,3 +373,33 @@ def test_sweep_n4_full_grid_exits_clean(tmp_path, capsys):
     )
     assert code == 0
     assert "# discrepancies=0" in out_path.read_text()
+
+
+def test_sweep_corner_table_matches_flow_solver():
+    # every connected labeled graph with n <= 4, every default-grid pair
+    ks = (0, 1, 2, 7, 40, 400)
+    for graph in enumerate_connected_graphs(4):
+        for a in cli.SWEEP_GRID:
+            for b in cli.SWEEP_GRID:
+                if a > b:
+                    continue
+                p_a = transition_matrix(graph, a).entries
+                p_b = transition_matrix(graph, b).entries
+                xi, table = cli._sweep_series(graph, p_a, p_b, max(ks))
+                for k in ks:
+                    for u in range(graph.n):
+                        for v in range(graph.n):
+                            flow = transport._flow_value(graph, xi[k, u, v])
+                            assert abs(table[k, u, v] - flow) <= 1e-12, (graph, a, b, k, u, v)
+
+
+def test_sweep_spot_check_is_live(tmp_path, capsys, monkeypatch):
+    # a flow solver that disagrees with the corner table by 1e-6 must be caught
+    solve = transport._flow_value
+    monkeypatch.setattr(transport, "_flow_value", lambda g, xi: solve(g, xi) + 1e-6)
+    out_path = tmp_path / "sweep.csv"
+    code, out, _ = run_cli(["sweep", "--nmax", "3", "--out", str(out_path)], capsys)
+    assert code == 3
+    count = int(out_path.read_text().splitlines()[-1].split("=")[1])
+    assert count > 0
+    assert f"{count} discrepancies" in out

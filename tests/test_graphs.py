@@ -91,6 +91,27 @@ def test_metric_axioms_exhaustive():
         assert ones == edge_set
 
 
+def test_graph_context_is_computed_once(c4):
+    assert c4.metric is c4.metric
+    assert np.array_equal(c4.metric.dist, all_pairs_distances(c4).dist)
+    assert c4.bipartite is c4.bipartite
+    assert c4.bipartite == bipartite_decompose(c4)
+    assert c4.corners is c4.corners
+    assert c4 == cycle_graph(4) and hash(c4) == hash(cycle_graph(4))
+
+
+def test_corners_are_the_integer_lipschitz_functions(p3, c4):
+    # a tree has 3^(n-1) of them; every row is 0 at vertex 0 and 1-Lipschitz
+    assert p3.corners.shape == (9, 3)
+    for g in (p3, c4):
+        rows = {tuple(r) for r in g.corners}
+        assert len(rows) == len(g.corners)
+        for r in g.corners:
+            assert r[0] == 0
+            assert all(abs(r[a] - r[b]) <= 1 for a, b in g.edges)
+    assert not c4.corners.flags.writeable
+
+
 # -- bipartite --------------------------------------------------------------------
 
 def test_bipartite_examples(c4, k3, p3):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walkdist.transport import _decompose_flows
 from walkdist import (
     Distribution,
     DualPotential,
@@ -14,6 +15,7 @@ from walkdist import (
     UnbalancedMassError,
     all_pairs_distances,
     bipartite_decompose,
+    build_graph,
     cost_of_plan,
     cycle_graph,
     distribution_from_csv,
@@ -84,6 +86,44 @@ def test_point_masses_give_distance(c5):
         for v in range(5):
             res = wasserstein_between(point_mass(5, u), point_mass(5, v), c5, metric)
             assert res.value == pytest.approx(metric.d(u, v), abs=1e-12)
+
+
+def test_dust_sized_demand_is_decomposed():
+    # vertex 1 absorbs 5e-13: routed by the solver (above its dust level),
+    # so the decomposition must treat it as a sink too
+    g = build_graph([(0, 1), (0, 2)], 3)
+    xi = signed_distribution([1.0, -5e-13, -(1.0 - 5e-13)])
+    res = wasserstein(xi, g, all_pairs_distances(g))
+    assert res.value == pytest.approx(1.0, abs=1e-15)
+    assert cost_of_plan(res.plan, all_pairs_distances(g)) == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(res.plan.row_marginals(3) - np.maximum(xi.values, 0)).max() <= 1e-15
+    assert np.abs(res.plan.column_marginals(3) - np.maximum(-xi.values, 0)).max() <= 1e-15
+    assert abs(res.value - dual_value(res.potential, xi, g)) <= 1e-15
+
+
+def test_decomposition_reads_supplies_from_the_flow():
+    # the plan follows the arc flows' divergence, whatever vector it came from
+    plan = _decompose_flows(3, {(0, 1): 0.5, (1, 2): 0.25})
+    assert plan.as_dict() == {(0, 1): 0.25, (0, 2): 0.25}
+
+
+def test_decomposition_drops_dust_split_supply():
+    # 1.2e-13 leaves vertex 0 over two arcs of 6e-14, each below the dust level
+    assert _decompose_flows(3, {(0, 1): 6e-14, (0, 2): 6e-14}).moves == ()
+
+
+def test_decomposition_drops_dust_residue_at_dead_end():
+    # 2.5e-13 - 1.5e-13 rounds above the dust level, so vertex 2 is a source
+    # whose only arc is already used up; the residue is dropped, not routed
+    flows = {(0, 1): 1.5e-13, (0, 2): 2.5e-13, (1, 5): 0.3, (2, 3): 1.5e-13,
+             (3, 5): 3e-13, (4, 5): 1.5e-13}
+    plan = _decompose_flows(6, flows)
+    divergence = np.zeros(6)
+    for (a, b), f in flows.items():
+        divergence[a] += f
+        divergence[b] -= f
+    marginals = plan.row_marginals(6) - plan.column_marginals(6)
+    assert np.abs(marginals - divergence).max() <= 2e-13
 
 
 # -- plan and dual -----------------------------------------------------------------

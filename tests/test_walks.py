@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkdist import (
+    Distribution,
     Guvab,
     InvalidDistributionError,
     InvalidVertexError,
@@ -45,6 +46,15 @@ def test_distribution_validation():
         probability_distribution([-0.1, 1.1])
     with pytest.raises(InvalidDistributionError):
         signed_distribution([0.5, 0.1])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_distribution_rejects_non_finite(bad):
+    for kind in ("probability", "signed"):
+        with pytest.raises(InvalidDistributionError, match="non-finite"):
+            Distribution(values=[0.5, bad], kind=kind)
+    with pytest.raises(InvalidDistributionError):
+        signed_distribution([bad, 0.0])
 
 
 def test_guvab_validation(c4):
