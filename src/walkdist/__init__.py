@@ -99,6 +99,7 @@ from .walks import (
     k_step,
     limit_xi,
     load_guvab_config,
+    pair_states,
     point_mass,
     probability_distribution,
     signed_distribution,

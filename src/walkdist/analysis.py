@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -33,9 +34,11 @@ from .errors import (
     TooFewPointsError,
     WrongCategoryError,
 )
-from .graphs import BipartiteStructure, Graph, Metric
+from .graphs import Graph
 from .transport import DEFAULT_TOL_GAP, _flow_value
-from .walks import Guvab, point_mass, stationary_pi, transition_matrix
+from .walks import (
+    PARAM_TOL, Guvab, pair_states, point_mass, stationary_pi, transition_matrix
+)
 
 
 class Category(enum.Enum):
@@ -104,14 +107,11 @@ class RateEstimate:
     residual: float
 
 
-_PARAM_TOL = 1e-12  # for knife-edge laziness comparisons (alpha = beta, beta = 1/2, ...)
-
-
 def _near(x: float, y: float) -> bool:
-    return abs(x - y) <= _PARAM_TOL
+    return abs(x - y) <= PARAM_TOL
 
 
-def divergence_sum(graph: Graph, metric: Metric, v: int) -> float:
+def divergence_sum(graph: Graph, v: int) -> float:
     """Signed degree-distance sum at v: sum over w of (-1)^d(v,w) d(v,w) deg(w).
 
     Nonzero exactly when a frozen-walk pair with alpha = 0 on a bipartite
@@ -119,36 +119,33 @@ def divergence_sum(graph: Graph, metric: Metric, v: int) -> float:
     """
     total = 0.0
     for w in range(graph.n):
-        d = int(metric.dist[v, w])
+        d = int(graph.metric.dist[v, w])
         total += (-1.0 if d % 2 else 1.0) * d * graph.degree(w)
     return total
 
 
-def _point_to_side_limit(
-    graph: Graph, metric: Metric, bip: BipartiteStructure, v: int, side: int
-) -> float:
+def _point_to_side_limit(graph: Graph, v: int, side: int) -> float:
     """Distance from a point mass at v to the side-supported limit: all of the
     side's mass must travel to v, so the value is (2/sum deg) * sum of
     d(v, w) deg(w) over the side."""
     deg_sum = 2.0 * graph.edge_count
     total = sum(
-        metric.dist[v, w] * graph.degree(w)
+        graph.metric.dist[v, w] * graph.degree(w)
         for w in range(graph.n)
-        if bip.side[w] == side
+        if graph.bipartite.side[w] == side
     )
     return 2.0 * total / deg_sum
 
 
-def _point_to_pi_limit(graph: Graph, metric: Metric, v: int) -> float:
+def _point_to_pi_limit(graph: Graph, v: int) -> float:
     """Distance from the stationary distribution to a point mass at v."""
     pi = stationary_pi(graph).values
-    return float(np.dot(pi, metric.dist[:, v]))
+    return float(np.dot(pi, graph.metric.dist[:, v]))
 
 
-def _converges_to_zero(
-    graph: Graph, bip: BipartiteStructure, u: int, v: int, alpha: float, beta: float
-) -> bool:
+def _converges_to_zero(graph: Graph, u: int, v: int, alpha: float, beta: float) -> bool:
     """Does the distance converge to 0 (beta < 1 cases)?"""
+    bip = graph.bipartite
     if 0.0 < alpha <= beta < 1.0:
         return True
     if not bip.is_bipartite and alpha == 0.0 and beta < 1.0:
@@ -167,7 +164,6 @@ def classify(guvab: Guvab, tol_gap: float = DEFAULT_TOL_GAP) -> ClassificationRe
     """
     graph, u, v = guvab.graph, guvab.u, guvab.v
     alpha, beta = guvab.alpha, guvab.beta
-    metric = graph.metric
     bip = graph.bipartite
     div_sum: float | None = None
 
@@ -177,15 +173,15 @@ def classify(guvab: Guvab, tol_gap: float = DEFAULT_TOL_GAP) -> ClassificationRe
     elif beta == 1.0:
         category = Category.BETA1
         if alpha == 1.0:
-            limit_even = limit_odd = float(metric.dist[u, v])
+            limit_even = limit_odd = float(graph.metric.dist[u, v])
         elif alpha == 0.0 and bip.is_bipartite:
             s = bip.side[u]
-            limit_even = _point_to_side_limit(graph, metric, bip, v, s)
-            limit_odd = _point_to_side_limit(graph, metric, bip, v, 1 - s)
-            div_sum = divergence_sum(graph, metric, v)
+            limit_even = _point_to_side_limit(graph, v, s)
+            limit_odd = _point_to_side_limit(graph, v, 1 - s)
+            div_sum = divergence_sum(graph, v)
         else:
-            limit_even = limit_odd = _point_to_pi_limit(graph, metric, v)
-    elif _converges_to_zero(graph, bip, u, v, alpha, beta):
+            limit_even = limit_odd = _point_to_pi_limit(graph, v)
+    elif _converges_to_zero(graph, u, v, alpha, beta):
         category = Category.W0
         limit_even = limit_odd = 0.0
     elif alpha == 0.0 and beta == 0.0:
@@ -206,7 +202,7 @@ def classify(guvab: Guvab, tol_gap: float = DEFAULT_TOL_GAP) -> ClassificationRe
         predicted, reason = predict_constancy(guvab)
     elif alpha == 1.0:
         predicted, reason = True, "both walks frozen: distance is d(u, v) forever"
-    elif detect_gluvab(guvab, metric):
+    elif detect_gluvab(guvab):
         predicted, reason = True, "distance-level symmetry about u keeps the mean fixed"
     else:
         predicted, reason = None, "no decidable constancy criterion for beta = 1"
@@ -238,12 +234,12 @@ def predict_constancy(guvab: Guvab) -> tuple[bool, str | None]:
         return True, "single-vertex graph: both walks are frozen"
     bip = graph.bipartite
     metric = graph.metric
-    if _near(alpha, 0.0) and _near(beta, 0.0):
+    if alpha == 0.0 and beta == 0.0:
         if bip.is_bipartite and metric.dist[u, v] % 2 == 1:
             return True, "lazinesses 0 on a bipartite graph with odd u-v distance"
         if graph.adjacency[u] == graph.adjacency[v]:
             return True, "lazinesses 0 with identical neighborhoods"
-    if _near(alpha, 0.0) and _near(beta, 0.5) and bip.is_bipartite:
+    if alpha == 0.0 and _near(beta, 0.5) and bip.is_bipartite:
         return True, "laziness pair (0, 1/2) on a bipartite graph"
     share = 1.0 / (graph.degree(u) + 1)
     if (
@@ -258,7 +254,7 @@ def predict_constancy(guvab: Guvab) -> tuple[bool, str | None]:
     return False, None
 
 
-def detect_gluvab(guvab: Guvab, metric: Metric) -> bool:
+def detect_gluvab(guvab: Guvab) -> bool:
     """Frozen-target pairs whose distance levels around v are symmetric.
 
     Requires beta = 1; u exactly halfway to the farthest vertex from v;
@@ -269,7 +265,7 @@ def detect_gluvab(guvab: Guvab, metric: Metric) -> bool:
     if guvab.beta != 1.0:
         return False
     graph, u, v = guvab.graph, guvab.u, guvab.v
-    dist_v = metric.dist[:, v]
+    dist_v = graph.metric.dist[:, v]
     radius = int(dist_v.max())
     if 2 * int(dist_v[u]) != radius:
         return False
@@ -318,8 +314,6 @@ def spectral_data(guvab: Guvab) -> SpectralData:
 
 def rho_bounds(
     guvab: Guvab,
-    spectral: SpectralData,
-    metric: Metric,
     tol_gap: float = DEFAULT_TOL_GAP,
     k_confirm: int = 50,
     k_cap: int = 400,
@@ -336,8 +330,9 @@ def rho_bounds(
         raise WrongCategoryError(
             f"constancy-onset bounds need category W1, got {report.category.value}"
         )
-    lower = float(metric.dist[guvab.u, guvab.v]) / 2.0 - 1.0
-    upper = 10.0 * math.log(guvab.graph.n) / (1.0 - spectral.lambda_max**2)
+    lower = float(guvab.graph.metric.dist[guvab.u, guvab.v]) / 2.0 - 1.0
+    lambda_max = spectral_data(guvab).lambda_max
+    upper = 10.0 * math.log(guvab.graph.n) / (1.0 - lambda_max**2)
     horizon = min(k_cap, int(math.ceil(upper)) + k_confirm + 2)
     series = wk_series(guvab, horizon)
     flat = [abs(w - 1.0) <= tol_gap for _, w in series]
@@ -355,16 +350,14 @@ def wk_series(guvab: Guvab, k_max: int) -> list[tuple[int, float]]:
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     graph = guvab.graph
-    p_alpha = transition_matrix(graph, guvab.alpha).entries
-    p_beta = transition_matrix(graph, guvab.beta).entries
-    mu = point_mass(graph.n, guvab.u).values.copy()
-    nu = point_mass(graph.n, guvab.v).values.copy()
-    out = [(0, _flow_value(graph, mu - nu))]
-    for k in range(1, k_max + 1):
-        mu = mu @ p_alpha
-        nu = nu @ p_beta
-        out.append((k, _flow_value(graph, mu - nu)))
-    return out
+    states = pair_states(
+        transition_matrix(graph, guvab.alpha).entries,
+        transition_matrix(graph, guvab.beta).entries,
+        point_mass(graph.n, guvab.u).values,
+        point_mass(graph.n, guvab.v).values,
+    )
+    ws = (_flow_value(graph, mu - nu) for mu, nu in islice(states, k_max + 1))
+    return list(enumerate(ws))
 
 
 def one_step_constancy_check(
@@ -382,17 +375,15 @@ def one_step_constancy_check(
             f"one-step constancy check needs W0 or BETA1, got {report.category.value}"
         )
     graph = guvab.graph
-    p_alpha = transition_matrix(graph, guvab.alpha).entries
-    p_beta = transition_matrix(graph, guvab.beta).entries
-    mu = point_mass(graph.n, guvab.u).values @ p_alpha
-    nu = point_mass(graph.n, guvab.v).values @ p_beta
-    w1 = _flow_value(graph, mu - nu)
-    for _ in range(2, k_max + 1):
-        mu = mu @ p_alpha
-        nu = nu @ p_beta
-        if abs(_flow_value(graph, mu - nu) - w1) > tol_gap:
-            return False
-    return True
+    states = pair_states(
+        transition_matrix(graph, guvab.alpha).entries,
+        transition_matrix(graph, guvab.beta).entries,
+        point_mass(graph.n, guvab.u).values,
+        point_mass(graph.n, guvab.v).values,
+    )
+    ws = (_flow_value(graph, mu - nu) for mu, nu in islice(states, 1, max(k_max, 1) + 1))
+    w1 = next(ws)
+    return all(abs(w - w1) <= tol_gap for w in ws)
 
 
 RATE_FLOOR = 1e-13

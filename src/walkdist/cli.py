@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -43,6 +44,7 @@ RATE_MATCH_TOL = 1e-3  # fitted decay factor vs eigenvalue modulus
 FIT_RESIDUAL_TOL = 1e-3  # log-RMS residual above which a fit is not trusted
 SPOT_CHECK_TOL = 1e-9  # sweep's corner-dual W_k vs an independent flow solve
 SWEEP_GRID = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0)  # default sweep lazinesses
+SWEEP_TABLE_K = 100  # last step of the W_k table each sweep row slices its series from
 
 
 def _fmt(x: float) -> str:
@@ -89,13 +91,11 @@ def _add_common_flags(
         p.add_argument("--kmax", type=int, default=60, help="last step index")
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--format", dest="fmt", choices=formats, default=None)
-    p.add_argument("--tol-mass", type=float, default=walks.DEFAULT_TOL_MASS)
-    p.add_argument("--tol-gap", type=float, default=transport.DEFAULT_TOL_GAP)
 
 
 def _build_config(args, default_fmt: str) -> RunConfig:
-    tol_mass = args.tol_mass
-    tol_gap = args.tol_gap
+    tol_mass = getattr(args, "tol_mass", walks.DEFAULT_TOL_MASS)
+    tol_gap = getattr(args, "tol_gap", transport.DEFAULT_TOL_GAP)
     if args.config:
         guvab, tols = walks.load_guvab_config(args.config)
         tol_mass = tols.get("tol_mass", tol_mass)
@@ -157,13 +157,13 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 # -- trace ----------------------------------------------------------------------
 
-def _fit_or_none(series, limit: float, parity: str):
+def _fit(series, limit: float, parity: str) -> analysis.RateEstimate | None:
+    """Late-window rate fit of one parity class; None when no fit exists."""
     window = analysis.rate_fit_window(series, limit, parity)
     try:
-        est = analysis.fit_rate(window, limit, parity)
+        return analysis.fit_rate(window, limit, parity)
     except WalkdistError:
         return None
-    return {"c": est.c, "lambda": est.lam, "parity": est.parity, "residual": est.residual}
 
 
 def cmd_trace(cfg: RunConfig) -> int:
@@ -171,10 +171,12 @@ def cmd_trace(cfg: RunConfig) -> int:
     series = analysis.wk_series(cfg.guvab, cfg.k_max)
     limits = (report.limit_even, report.limit_odd)
     rows = [(k, w, abs(w - limits[k % 2])) for k, w in series]
-    rates = {
-        "rate_even": _fit_or_none(series, report.limit_even, "even"),
-        "rate_odd": _fit_or_none(series, report.limit_odd, "odd"),
-    }
+    rates = {}
+    for parity, limit in zip(("even", "odd"), limits):
+        est = _fit(series, limit, parity)
+        rates[f"rate_{parity}"] = None if est is None else {
+            "c": est.c, "lambda": est.lam, "parity": est.parity, "residual": est.residual
+        }
     if cfg.fmt == "json":
         payload = {
             "series": [[k, w, e] for k, w, e in rows],
@@ -194,15 +196,12 @@ def cmd_trace(cfg: RunConfig) -> int:
 # -- tree-transport ---------------------------------------------------------------
 
 def cmd_tree_transport(cfg: RunConfig, k: int) -> int:
-    guvab = cfg.guvab
-    graph = guvab.graph
-    metric = graph.metric
-    tree = spanning_tree(graph)
-    ordering = r_monotone_ordering(tree)
-    xi = walks.xi_k(guvab, k)
-    trace = tree_transport.run_tree_transport(graph, tree, ordering, xi, cfg.tol_mass)
-    report = tree_transport.check_inequalities(graph, tree, ordering, xi, trace)
-    result = transport.wasserstein(xi, graph, metric, tol_mass=cfg.tol_mass)
+    graph = cfg.guvab.graph
+    ordering = r_monotone_ordering(spanning_tree(graph))
+    xi = walks.xi_k(cfg.guvab, k)
+    trace = tree_transport.run_tree_transport(graph, ordering, xi, cfg.tol_mass)
+    report = tree_transport.check_inequalities(graph, ordering, xi, trace)
+    result = transport.wasserstein(xi, graph, tol_mass=cfg.tol_mass)
     payload = {
         "k": k,
         "xi": [float(x) for x in xi.values],
@@ -217,7 +216,7 @@ def cmd_tree_transport(cfg: RunConfig, k: int) -> int:
                 "vertices": list(report.first_violation.vertices),
             },
         },
-        "cost": transport.cost_of_plan(trace.plan, metric),
+        "cost": transport.cost_of_plan(trace.plan, graph.metric),
         "half_l1": tree_transport.half_l1(xi),
         "wasserstein": result.value,
     }
@@ -233,9 +232,7 @@ def cmd_distance(args) -> int:
         mu = transport.distribution_from_csv(fh.read(), graph.n)
     with open(args.nu, "r", encoding="utf-8") as fh:
         nu = transport.distribution_from_csv(fh.read(), graph.n)
-    result = transport.wasserstein_between(
-        mu, nu, graph, graph.metric, tol_mass=args.tol_mass
-    )
+    result = transport.wasserstein_between(mu, nu, graph, tol_mass=args.tol_mass)
     xi = walks.signed_distribution(mu.values - nu.values, tol_mass=args.tol_mass)
     dual = transport.dual_value(result.potential, xi, graph)
     fmt = args.fmt or "json"
@@ -267,13 +264,9 @@ def _sweep_series(graph, p_a: np.ndarray, p_b: np.ndarray, k_max: int):
     u and v, and ``table[k, u, v]`` its Wasserstein distance, the largest
     dual objective over the graph's integer 1-Lipschitz corners.
     """
-    n = graph.n
-    mu = np.empty((k_max + 1, n, n))
-    nu = np.empty((k_max + 1, n, n))
-    mu[0] = nu[0] = np.eye(n)
-    for k in range(1, k_max + 1):
-        mu[k] = mu[k - 1] @ p_a
-        nu[k] = nu[k - 1] @ p_b
+    eye = np.eye(graph.n)
+    states = islice(walks.pair_states(p_a, p_b, eye, eye), k_max + 1)
+    mu, nu = map(np.array, zip(*states))
     xi = mu[:, :, None, :] - nu[:, None, :, :]
     return xi, transport.corner_values(xi, graph.corners)
 
@@ -292,23 +285,11 @@ def _settled_prefix(ws: list[float], limits: tuple[float, float]):
     return series
 
 
-def _trusted_fit(series, limit: float, parity: str):
-    window = analysis.rate_fit_window(series, limit, parity)
-    try:
-        est = analysis.fit_rate(window, limit, parity)
-    except WalkdistError:
-        return None
-    if est.residual > FIT_RESIDUAL_TOL or not 0.0 < est.lam < 1.0:
-        return None
-    return est
-
-
 def run_sweep(
     n_max: int,
     grid: list[float],
     k_max: int,
     tol_gap: float = transport.DEFAULT_TOL_GAP,
-    fit_cap: int = 100,
 ):
     """Validate closed-form predictions against simulation on every labeled
     connected graph up to n_max vertices.
@@ -337,8 +318,8 @@ def run_sweep(
         for a, b in pairs:
             p_a = transition_matrix(graph, a).entries
             p_b = transition_matrix(graph, b).entries
-            xi, table = _sweep_series(graph, p_a, p_b, fit_cap)
-            by_start = table.transpose(1, 2, 0).tolist()  # [u][v] -> W_0..W_fit_cap
+            xi, table = _sweep_series(graph, p_a, p_b, SWEEP_TABLE_K)
+            by_start = table.transpose(1, 2, 0).tolist()  # [u][v] -> W_0..W_SWEEP_TABLE_K
             k_hi = k_max if k_max % 2 == 0 else k_max + 1
             pow_a = np.linalg.matrix_power(p_a, k_hi)
             pow_b = np.linalg.matrix_power(p_b, k_hi)
@@ -379,10 +360,13 @@ def run_sweep(
                     agree = predicted is None or predicted == check
                     if not agree:
                         discrepancies += 1
-                    fits = {
-                        "even": _trusted_fit(series, report.limit_even, "even"),
-                        "odd": _trusted_fit(series, report.limit_odd, "odd"),
-                    }
+                    fits = {}
+                    for parity, limit in zip(("even", "odd"), limits):
+                        est = _fit(series, limit, parity)
+                        trusted = est is not None and (
+                            est.residual <= FIT_RESIDUAL_TOL and 0.0 < est.lam < 1.0
+                        )
+                        fits[parity] = est if trusted else None
                     match_flags = []
                     for est in fits.values():
                         if est is None:
@@ -453,13 +437,16 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="limit category and constancy verdict")
     _add_common_flags(p, ("json",), with_kmax=False)
+    p.add_argument("--tol-gap", type=float, default=transport.DEFAULT_TOL_GAP)
 
     p = sub.add_parser("trace", help="W_k series with error column")
     _add_common_flags(p, ("csv", "json"))
+    p.add_argument("--tol-gap", type=float, default=transport.DEFAULT_TOL_GAP)
 
     p = sub.add_parser("tree-transport", help="run the settling algorithm on xi_k")
     _add_common_flags(p, ("json",), with_kmax=False)
     p.add_argument("--k", type=int, default=0, help="step index of xi to transport")
+    p.add_argument("--tol-mass", type=float, default=walks.DEFAULT_TOL_MASS)
 
     p = sub.add_parser("distance", help="Wasserstein between two distribution files")
     p.add_argument("--graph", required=True)
@@ -468,15 +455,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
     p.add_argument("--tol-mass", type=float, default=walks.DEFAULT_TOL_MASS)
-    p.add_argument("--tol-gap", type=float, default=transport.DEFAULT_TOL_GAP)
 
     p = sub.add_parser("sweep", help="exhaustive validation over small graphs")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--grid", help="comma-separated laziness values")
     p.add_argument("--kmax", type=int, default=400)
     p.add_argument("--out")
-    p.add_argument("--format", dest="fmt", choices=("csv",), default="csv")
-    p.add_argument("--tol-mass", type=float, default=walks.DEFAULT_TOL_MASS)
     p.add_argument("--tol-gap", type=float, default=transport.DEFAULT_TOL_GAP)
     return parser
 

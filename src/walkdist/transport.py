@@ -236,10 +236,7 @@ def _decompose_flows(n: int, arc_flows: dict[tuple[int, int], float]) -> Transpo
 
 
 def wasserstein(
-    xi: Distribution,
-    graph: Graph,
-    metric: Metric,
-    tol_mass: float = DEFAULT_TOL_MASS,
+    xi: Distribution, graph: Graph, tol_mass: float = DEFAULT_TOL_MASS
 ) -> TransportResult:
     """Exact Wasserstein distance from xi to the zero distribution.
 
@@ -271,7 +268,6 @@ def wasserstein_between(
     mu: Distribution,
     nu: Distribution,
     graph: Graph,
-    metric: Metric,
     tol_mass: float = DEFAULT_TOL_MASS,
 ) -> TransportResult:
     """Wasserstein distance between two equal-mass distributions.
@@ -286,7 +282,7 @@ def wasserstein_between(
             f"mass mismatch: sum(mu)={total_mu!r} vs sum(nu)={total_nu!r}"
         )
     diff = Distribution(values=mu.values - nu.values, kind="signed")
-    return wasserstein(diff, graph, metric, tol_mass=tol_mass)
+    return wasserstein(diff, graph, tol_mass=tol_mass)
 
 
 def cost_of_plan(plan: TransportPlan, metric: Metric) -> float:
@@ -313,10 +309,7 @@ def dual_value(
 
 
 def wasserstein_oracle(
-    xi: Distribution,
-    graph: Graph,
-    metric: Metric,
-    tol_mass: float = DEFAULT_TOL_MASS,
+    xi: Distribution, graph: Graph, tol_mass: float = DEFAULT_TOL_MASS
 ) -> float:
     """Brute-force dual maximum over integer edge-Lipschitz vertex functions.
 

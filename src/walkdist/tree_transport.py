@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoLaterNeighborError, UnbalancedMassError
-from .graphs import Graph, ROrdering, SpanningTree
-from .transport import TransportPlan, _decompose_flows
+from .errors import NoLaterNeighborError
+from .graphs import Graph, ROrdering
+from .transport import TransportPlan, _decompose_flows, _require_zero_sum
 from .walks import DEFAULT_TOL_MASS, Distribution
 
 DEFAULT_TOL_STRICT = 1e-12
@@ -70,7 +70,6 @@ class InequalityReport:
 
 def run_tree_transport(
     graph: Graph,
-    tree: SpanningTree,
     ordering: ROrdering,
     xi: Distribution,
     tol_mass: float = DEFAULT_TOL_MASS,
@@ -83,9 +82,7 @@ def run_tree_transport(
     can.
     """
     values = np.asarray(xi.values, dtype=float)
-    total = float(values.sum())
-    if abs(total) > tol_mass:
-        raise UnbalancedMassError(f"mass imbalance {total!r} exceeds {tol_mass!r}")
+    _require_zero_sum(values, tol_mass)
     n = graph.n
     order = ordering.order
     pos = ordering.positions()
@@ -127,7 +124,6 @@ def _accumulate(arc_flows: dict[tuple[int, int], float], a: int, b: int, m: floa
 
 def check_inequalities(
     graph: Graph,
-    tree: SpanningTree,
     ordering: ROrdering,
     xi: Distribution,
     trace: AlgorithmTrace,
@@ -168,9 +164,7 @@ def check_inequalities(
 def half_l1(xi: Distribution, tol_mass: float = DEFAULT_TOL_MASS) -> float:
     """Half the L1 norm of a zero-sum distribution (its total positive mass)."""
     values = np.asarray(xi.values, dtype=float)
-    total = float(values.sum())
-    if abs(total) > tol_mass:
-        raise UnbalancedMassError(f"mass imbalance {total!r} exceeds {tol_mass!r}")
+    _require_zero_sum(values, tol_mass)
     return 0.5 * float(np.abs(values).sum())
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -26,9 +28,13 @@ from .errors import (
     LazinessOutOfRangeError,
     NotBipartiteError,
 )
-from .graphs import BipartiteStructure, Graph, load_graph_file
+from .graphs import Graph, load_graph_file
 
 DEFAULT_TOL_MASS = 1e-9
+
+# Lazinesses within this of 0 or 1 are snapped to exactly 0 or 1 by Guvab, and
+# knife-edge comparisons (alpha = beta, beta = 1/2, ...) use the same width.
+PARAM_TOL = 1e-12
 
 PROBABILITY = "probability"
 SIGNED = "signed"
@@ -56,9 +62,6 @@ class Distribution:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def __sub__(self, other: "Distribution") -> "Distribution":
-        return signed_distribution(self.values - other.values)
 
     def __neg__(self) -> "Distribution":
         return signed_distribution(-self.values)
@@ -101,6 +104,8 @@ class Guvab:
     The u-walk has laziness alpha, the v-walk laziness beta, normalized so
     that alpha <= beta.  The ordering is enforced at construction rather than
     silently swapped, keeping the (u, alpha) and (v, beta) pairings fixed.
+    A laziness within ``PARAM_TOL`` of 0 or 1 is stored as exactly 0 or 1, so
+    every test of a boundary laziness gives one verdict.
     """
 
     graph: Graph
@@ -121,6 +126,12 @@ class Guvab:
             raise LazinessOrderError(
                 f"alpha={self.alpha} > beta={self.beta}; walk pairs require alpha <= beta"
             )
+        for name in ("alpha", "beta"):
+            laz = getattr(self, name)
+            if abs(laz) <= PARAM_TOL:
+                object.__setattr__(self, name, 0.0)
+            elif abs(laz - 1.0) <= PARAM_TOL:
+                object.__setattr__(self, name, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,13 +189,34 @@ def k_step(initial: Distribution, matrix: TransitionMatrix, k: int) -> Distribut
     return Distribution(values=v, kind=PROBABILITY)
 
 
+def pair_states(
+    p_alpha: np.ndarray, p_beta: np.ndarray, mu0: np.ndarray, nu0: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (mu_k, nu_k) for k = 0, 1, 2, ... without end, one product per step.
+
+    Starts may be row vectors or stacks of rows (``np.eye(n)`` steps every
+    start vertex at once); the two shapes round differently.
+    """
+    mu, nu = mu0, nu0
+    while True:
+        yield mu, nu
+        mu = mu @ p_alpha
+        nu = nu @ p_beta
+
+
 def xi_k(guvab: Guvab, k: int) -> Distribution:
     """Signed difference mu_k - nu_k of the two walks' k-step distributions."""
-    p_alpha = transition_matrix(guvab.graph, guvab.alpha)
-    p_beta = transition_matrix(guvab.graph, guvab.beta)
-    mu = k_step(point_mass(guvab.graph.n, guvab.u), p_alpha, k)
-    nu = k_step(point_mass(guvab.graph.n, guvab.v), p_beta, k)
-    return mu - nu
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    graph = guvab.graph
+    states = pair_states(
+        transition_matrix(graph, guvab.alpha).entries,
+        transition_matrix(graph, guvab.beta).entries,
+        point_mass(graph.n, guvab.u).values,
+        point_mass(graph.n, guvab.v).values,
+    )
+    mu, nu = next(islice(states, k, None))
+    return signed_distribution(mu - nu)
 
 
 def stationary_pi(graph: Graph) -> Distribution:
@@ -195,14 +227,13 @@ def stationary_pi(graph: Graph) -> Distribution:
     return Distribution(values=deg / deg.sum(), kind=PROBABILITY)
 
 
-def tau_distributions(
-    graph: Graph, bipartite: BipartiteStructure
-) -> tuple[Distribution, Distribution]:
+def tau_distributions(graph: Graph) -> tuple[Distribution, Distribution]:
     """Side-supported limiting distributions of a laziness-0 walk.
 
     Each vertex on a side carries 2*deg(w)/sum(deg); the pair is returned as
     (side-0 supported, side-1 supported).
     """
+    bipartite = graph.bipartite
     if not bipartite.is_bipartite:
         raise NotBipartiteError("tau distributions require a bipartite graph")
     if graph.n == 1:
@@ -219,7 +250,7 @@ def tau_distributions(
 
 
 def walk_parity_limits(
-    graph: Graph, bipartite: BipartiteStructure, start: int, laziness: float
+    graph: Graph, start: int, laziness: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (even, odd) limits of a single walk's k-step distribution.
 
@@ -231,10 +262,10 @@ def walk_parity_limits(
     if n == 1 or laziness == 1.0:
         frozen = point_mass(n, start).values
         return frozen, frozen
-    if laziness == 0.0 and bipartite.is_bipartite:
-        tau0, tau1 = tau_distributions(graph, bipartite)
+    if laziness == 0.0 and graph.bipartite.is_bipartite:
+        tau0, tau1 = tau_distributions(graph)
         taus = (tau0.values, tau1.values)
-        s = bipartite.side[start]
+        s = graph.bipartite.side[start]
         return taus[s], taus[1 - s]
     pi = stationary_pi(graph).values
     return pi, pi
@@ -246,9 +277,8 @@ def limit_xi(guvab: Guvab) -> tuple[Distribution, Distribution]:
     Exact up to formula arithmetic; iteration is only ever used as a
     cross-check, never to produce these values.
     """
-    bip = guvab.graph.bipartite
-    mu_even, mu_odd = walk_parity_limits(guvab.graph, bip, guvab.u, guvab.alpha)
-    nu_even, nu_odd = walk_parity_limits(guvab.graph, bip, guvab.v, guvab.beta)
+    mu_even, mu_odd = walk_parity_limits(guvab.graph, guvab.u, guvab.alpha)
+    nu_even, nu_odd = walk_parity_limits(guvab.graph, guvab.v, guvab.beta)
     return (
         signed_distribution(mu_even - nu_even),
         signed_distribution(mu_odd - nu_odd),

@@ -36,7 +36,6 @@ from walkdist import (
     run_tree_transport,
     signed_distribution,
     spanning_tree,
-    spectral_data,
     spectrum,
     star_graph,
     transition_matrix,
@@ -79,8 +78,7 @@ def test_criterion_02_w1_constancy_and_rho_sandwich():
     ]
     for graph, u, v, name in cases:
         guvab = Guvab(graph, u, v, 0.0, 0.0)
-        metric = all_pairs_distances(graph)
-        bounds = rho_bounds(guvab, spectral_data(guvab), metric)
+        bounds = rho_bounds(guvab)
         if bounds.empirical is None:
             failures.append(f"{name}: no constancy onset found")
             continue
@@ -97,9 +95,8 @@ def test_criterion_02_w1_constancy_and_rho_sandwich():
 def test_criterion_03_divergence_criterion():
     failures = []
     star = star_graph(3)
-    metric = all_pairs_distances(star)
     v = 1  # a leaf
-    dsum = divergence_sum(star, metric, v)
+    dsum = divergence_sum(star, v)
     if abs(dsum - 1.0) > 1e-12:
         failures.append(f"divergence sum {dsum} != 1")
     guvab = Guvab(star, 0, v, 0.0, 1.0)
@@ -189,13 +186,12 @@ def test_criterion_06_duality_and_oracle():
     failures = []
     rng = np.random.default_rng(0)
     for graph in enumerate_connected_graphs(5):
-        metric = all_pairs_distances(graph)
         for _ in range(100):
             raw = rng.normal(size=graph.n)
             raw -= raw.mean()
             xi = signed_distribution(raw)
-            result = wasserstein(xi, graph, metric)
-            oracle = wasserstein_oracle(xi, graph, metric)
+            result = wasserstein(xi, graph)
+            oracle = wasserstein_oracle(xi, graph)
             if abs(result.value - oracle) > 1e-9:
                 failures.append(f"{graph.edges}: flow {result.value} vs oracle {oracle}")
                 break
@@ -225,9 +221,9 @@ def test_criterion_07_tree_transport_theorems():
         x -= x.mean()
         y = rng.normal(size=graph.n)
         y -= y.mean()
-        tr_x = run_tree_transport(graph, tree, ordering, signed_distribution(x))
-        tr_y = run_tree_transport(graph, tree, ordering, signed_distribution(y))
-        tr_xy = run_tree_transport(graph, tree, ordering, signed_distribution(x + y))
+        tr_x = run_tree_transport(graph, ordering, signed_distribution(x))
+        tr_y = run_tree_transport(graph, ordering, signed_distribution(y))
+        tr_xy = run_tree_transport(graph, ordering, signed_distribution(x + y))
         for i in range(graph.n):
             err = np.abs(tr_xy.states[i] - tr_x.states[i] - tr_y.states[i]).max()
             if err > 1e-9:
@@ -243,7 +239,7 @@ def test_criterion_07_tree_transport_theorems():
                 ]
             )
             candidates.append(pattern)
-            tr = run_tree_transport(graph, tree, ordering, signed_distribution(pattern))
+            tr = run_tree_transport(graph, ordering, signed_distribution(pattern))
             bound = 1.0 / graph.edge_count
             for i in range(graph.n - 1):
                 for p in range(i, graph.n):
@@ -252,12 +248,12 @@ def test_criterion_07_tree_transport_theorems():
                         break
         for vals in candidates:
             xi = signed_distribution(vals)
-            tr = run_tree_transport(graph, tree, ordering, xi)
-            if check_inequalities(graph, tree, ordering, xi, tr).holds:
+            tr = run_tree_transport(graph, ordering, xi)
+            if check_inequalities(graph, ordering, xi, tr).holds:
                 target = half_l1(xi)
                 if abs(cost_of_plan(tr.plan, metric) - target) > 1e-9:
                     failures.append(f"{graph.edges}: plan cost != half L1")
-                if abs(wasserstein(xi, graph, metric).value - target) > 1e-9:
+                if abs(wasserstein(xi, graph).value - target) > 1e-9:
                     failures.append(f"{graph.edges}: W != half L1")
     _report(7, "settling-algorithm linearity, sign bound, and cost identity", failures)
 
@@ -316,17 +312,16 @@ def test_criterion_08_spectral_rate_membership():
 def test_criterion_09_gluvab():
     failures = []
     p3 = path_graph(3)
-    metric = all_pairs_distances(p3)
     # the degree-2 vertex carries the moving walk; the frozen walk sits at an
     # endpoint, half the farthest distance from it
     guvab = Guvab(p3, 1, 2, 1.0 / 3.0, 1.0)
-    if not detect_gluvab(guvab, metric):
+    if not detect_gluvab(guvab):
         failures.append("distance-level-symmetric pair not detected")
     for k, w in wk_series(guvab, 100):
         if abs(w - 1.0) > 1e-12:
             failures.append(f"W_{k} = {w} != 1")
             break
-    if detect_gluvab(Guvab(p3, 1, 2, 1.0 / 3.0, 0.9), metric):
+    if detect_gluvab(Guvab(p3, 1, 2, 1.0 / 3.0, 0.9)):
         failures.append("beta = 0.9 should not be detected")
     _report(9, "distance-level symmetry detection and constant distance", failures)
 

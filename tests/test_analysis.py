@@ -80,20 +80,19 @@ def test_classify_beta1_mixing(k3):
 # -- divergence_sum -------------------------------------------------------------------
 
 def test_divergence_examples(p2, c4, k13):
-    assert divergence_sum(p2, all_pairs_distances(p2), 0) == pytest.approx(-1.0)
+    assert divergence_sum(p2, 0) == pytest.approx(-1.0)
     for v in range(4):
-        assert divergence_sum(c4, all_pairs_distances(c4), v) == pytest.approx(0.0)
-    assert divergence_sum(k13, all_pairs_distances(k13), 1) == pytest.approx(1.0)
+        assert divergence_sum(c4, v) == pytest.approx(0.0)
+    assert divergence_sum(k13, 1) == pytest.approx(1.0)
 
 
 def test_divergence_matches_limit_gap():
     # |limit_even - limit_odd| = (2 / sum deg) * |divergence sum| for frozen pairs
     for g in (star_graph(3), path_graph(4), cycle_graph(6)):
-        metric = all_pairs_distances(g)
         for v in range(g.n):
             r = classify(Guvab(g, 0, v, 0.0, 1.0))
             gap = abs(r.limit_even - r.limit_odd)
-            expected = abs(divergence_sum(g, metric, v)) / g.edge_count
+            expected = abs(divergence_sum(g, v)) / g.edge_count
             assert gap == pytest.approx(expected, abs=1e-12)
 
 
@@ -103,7 +102,6 @@ def test_nonconvergence_iff_divergence_sum():
     from walkdist import bipartite_decompose, enumerate_connected_graphs
 
     for g in enumerate_connected_graphs(4):
-        metric = all_pairs_distances(g)
         bip = bipartite_decompose(g)
         for u in range(g.n):
             for v in range(g.n):
@@ -113,7 +111,7 @@ def test_nonconvergence_iff_divergence_sum():
                         g.n > 1
                         and bip.is_bipartite
                         and alpha == 0.0
-                        and abs(divergence_sum(g, metric, v)) > 1e-9
+                        and abs(divergence_sum(g, v)) > 1e-9
                     )
                     assert r.converges == (not expect_diverge)
                     if expect_diverge:
@@ -140,23 +138,34 @@ def test_predict_rejects_beta_one(c4):
         predict_constancy(Guvab(c4, 0, 1, 0.0, 1.0))
 
 
+def test_near_boundary_laziness_gives_one_verdict(c4):
+    # alpha within 1e-12 of 0 is stored as 0: classify and predict_constancy agree
+    pair = Guvab(c4, 0, 1, 1e-13, 0.5)
+    assert pair.alpha == 0.0
+    r = classify(pair)
+    assert r.category is Category.W_HALF and r.limit == 0.5
+    assert r.constancy_predicted is True
+    assert predict_constancy(pair) == (True, "laziness pair (0, 1/2) on a bipartite graph")
+    frozen = Guvab(c4, 0, 1, 0.5, 1.0 - 1e-13)
+    assert frozen.beta == 1.0
+    assert classify(frozen).category is Category.BETA1
+
+
 # -- gluvab ------------------------------------------------------------------------------
 
 def test_gluvab_p3(p3):
-    metric = all_pairs_distances(p3)
     # the degree-2 vertex must carry the moving walk; the frozen walk sits at
     # an endpoint exactly half the eccentricity away
-    assert detect_gluvab(Guvab(p3, 1, 2, 1 / 3, 1.0), metric) is True
-    assert detect_gluvab(Guvab(p3, 1, 0, 0.5, 1.0), metric) is True
-    assert detect_gluvab(Guvab(p3, 0, 1, 1 / 3, 1.0), metric) is False
-    assert detect_gluvab(Guvab(p3, 1, 2, 1 / 3, 0.9), metric) is False
+    assert detect_gluvab(Guvab(p3, 1, 2, 1 / 3, 1.0)) is True
+    assert detect_gluvab(Guvab(p3, 1, 0, 0.5, 1.0)) is True
+    assert detect_gluvab(Guvab(p3, 0, 1, 1 / 3, 1.0)) is False
+    assert detect_gluvab(Guvab(p3, 1, 2, 1 / 3, 0.9)) is False
 
 
 def test_gluvab_p5():
     g = path_graph(5)
-    metric = all_pairs_distances(g)
-    assert detect_gluvab(Guvab(g, 2, 4, 0.25, 1.0), metric) is True
-    assert detect_gluvab(Guvab(g, 1, 4, 0.25, 1.0), metric) is False
+    assert detect_gluvab(Guvab(g, 2, 4, 0.25, 1.0)) is True
+    assert detect_gluvab(Guvab(g, 1, 4, 0.25, 1.0)) is False
 
 
 def test_gluvab_implies_constant_distance():
@@ -168,12 +177,26 @@ def test_gluvab_implies_constant_distance():
             for v in range(g.n):
                 for alpha in (0.0, 0.25, 0.5):
                     guvab = Guvab(g, u, v, alpha, 1.0)
-                    if detect_gluvab(guvab, metric):
+                    if detect_gluvab(guvab):
                         found += 1
                         w0 = float(metric.d(u, v))
                         for _, w in wk_series(guvab, 30):
                             assert abs(w - w0) <= 1e-12
     assert found >= 3
+
+
+def test_metric_built_once_per_graph(monkeypatch):
+    from walkdist import graphs
+
+    calls = []
+    build = graphs.all_pairs_distances
+    monkeypatch.setattr(graphs, "all_pairs_distances", lambda g: calls.append(g) or build(g))
+    g = cycle_graph(4)
+    classify(Guvab(g, 0, 1, 0.0, 1.0))
+    detect_gluvab(Guvab(g, 0, 1, 0.0, 1.0))
+    divergence_sum(g, 1)
+    rho_bounds(Guvab(g, 0, 1, 0.0, 0.0))
+    assert len(calls) == 1
 
 
 # -- spectrum ------------------------------------------------------------------------------
@@ -228,14 +251,14 @@ def test_spectral_reconstruction():
 
 def test_rho_p2(p2):
     g = Guvab(p2, 0, 1, 0.0, 0.0)
-    rb = rho_bounds(g, spectral_data(g), all_pairs_distances(p2))
+    rb = rho_bounds(g)
     assert rb.empirical == 0
     assert rb.lower <= 0 <= rb.upper
 
 
 def test_rho_p4(p4):
     g = Guvab(p4, 0, 3, 0.0, 0.0)
-    rb = rho_bounds(g, spectral_data(g), all_pairs_distances(p4))
+    rb = rho_bounds(g)
     assert rb.lower == pytest.approx(0.5)
     assert rb.empirical == 1
     assert rb.lower <= rb.empirical <= rb.upper
@@ -244,7 +267,7 @@ def test_rho_p4(p4):
 def test_rho_wrong_category(k3):
     g = Guvab(k3, 0, 1, 0.0, 0.0)
     with pytest.raises(WrongCategoryError):
-        rho_bounds(g, spectral_data(g), all_pairs_distances(k3))
+        rho_bounds(g)
 
 
 def test_rho_sandwich_sampled():
@@ -266,7 +289,7 @@ def test_rho_sandwich_sampled():
                 if metric.d(u, v) % 2 == 0:
                     continue
                 guvab = Guvab(g, u, v, 0.0, 0.0)
-                rb = rho_bounds(guvab, spectral_data(guvab), metric)
+                rb = rho_bounds(guvab)
                 assert rb.empirical is not None
                 assert rb.lower <= rb.empirical <= rb.upper
                 checked += 1

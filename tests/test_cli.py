@@ -4,10 +4,12 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 import walkdist.cli as cli
 from walkdist import (
+    Guvab,
     NoLaterNeighborError,
     complete_graph,
     cycle_graph,
@@ -15,6 +17,7 @@ from walkdist import (
     graph_to_text,
     path_graph,
     transition_matrix,
+    xi_k,
 )
 from walkdist import transport
 
@@ -117,6 +120,27 @@ def test_seed_flag_is_gone(argv, c4_file, capsys):
         cli.main(argv + ["--seed", "1"])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--u", "0", "--v", "1", "--alpha", "0", "--beta", "0", "--tol-mass", "1e-9"],
+        ["trace", "--u", "0", "--v", "1", "--alpha", "0", "--beta", "0", "--tol-mass", "1e-9"],
+        ["tree-transport", "--u", "0", "--v", "1", "--alpha", "0", "--beta", "0",
+         "--tol-gap", "1e-9"],
+        ["distance", "--mu", "mu.csv", "--nu", "nu.csv", "--tol-gap", "1e-9"],
+        ["sweep", "--nmax", "2", "--tol-mass", "1e-9"],
+        ["sweep", "--nmax", "2", "--format", "csv"],
+    ],
+)
+def test_unread_flags_are_gone(argv, c4_file, capsys):
+    if argv[0] != "sweep":
+        argv = argv + ["--graph", c4_file]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # -- trace ---------------------------------------------------------------------------
@@ -296,6 +320,24 @@ def test_distance_csv_outputs(tmp_path, p3_file, capsys):
     assert len(pot_rows) == 3
 
 
+def test_distance_builds_no_metric(tmp_path, p3_file, capsys, monkeypatch):
+    from walkdist import graphs
+
+    calls = []
+    build = graphs.all_pairs_distances
+    monkeypatch.setattr(graphs, "all_pairs_distances", lambda g: calls.append(g) or build(g))
+    mu = tmp_path / "mu.csv"
+    mu.write_text("vertex,mass\n0,1.0\n")
+    nu = tmp_path / "nu.csv"
+    nu.write_text("vertex,mass\n2,1.0\n")
+    code, out, _ = run_cli(
+        ["distance", "--graph", p3_file, "--mu", str(mu), "--nu", str(nu)], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["value"] == 2.0
+    assert calls == []
+
+
 def test_distance_unbalanced(tmp_path, p3_file, capsys):
     mu = tmp_path / "mu.csv"
     mu.write_text("0,1.0\n")
@@ -391,6 +433,23 @@ def test_sweep_corner_table_matches_flow_solver():
                         for v in range(graph.n):
                             flow = transport._flow_value(graph, xi[k, u, v])
                             assert abs(table[k, u, v] - flow) <= 1e-12, (graph, a, b, k, u, v)
+
+
+def test_xi_k_matches_sweep_table_states():
+    # vector and batched products round differently: close, not bitwise equal
+    ks = (0, 1, 7, 40)
+    pairs = ((0.0, 0.5), (0.25, 1.0 / 3.0), (0.0, 0.0), (1.0 / 3.0, 0.75))
+    for graph in enumerate_connected_graphs(4):
+        for a, b in pairs:
+            p_a = transition_matrix(graph, a).entries
+            p_b = transition_matrix(graph, b).entries
+            xi, _ = cli._sweep_series(graph, p_a, p_b, max(ks))
+            for k in ks:
+                for u in range(graph.n):
+                    for v in range(graph.n):
+                        got = xi_k(Guvab(graph, u, v, a, b), k).values
+                        gap = np.abs(got - xi[k, u, v]).max()
+                        assert gap <= 1e-15, (graph, a, b, k, u, v, gap)
 
 
 def test_sweep_spot_check_is_live(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,6 @@ from walkdist import (
     TransportPlan,
     UnbalancedMassError,
     all_pairs_distances,
-    bipartite_decompose,
     build_graph,
     cost_of_plan,
     cycle_graph,
@@ -44,39 +43,37 @@ def _random_signed(rng, n):
 # -- wasserstein ------------------------------------------------------------------
 
 def test_zero_distribution_shortcut(c4):
-    res = wasserstein(zero_distribution(4), c4, all_pairs_distances(c4))
+    res = wasserstein(zero_distribution(4), c4)
     assert res.value == 0.0
     assert res.plan.moves == ()
 
 
 def test_p3_endpoints(p3):
-    res = wasserstein(signed_distribution([1, 0, -1]), p3, all_pairs_distances(p3))
+    res = wasserstein(signed_distribution([1, 0, -1]), p3)
     assert res.value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_c4_side_limits_distance_one(c4):
     # moving the side-0 limit to the side-1 limit costs exactly 1
-    t0, t1 = tau_distributions(c4, bipartite_decompose(c4))
-    res = wasserstein_between(t0, t1, c4, all_pairs_distances(c4))
+    t0, t1 = tau_distributions(c4)
+    res = wasserstein_between(t0, t1, c4)
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_c4_pi_to_side_limit_half(c4):
-    t0, _ = tau_distributions(c4, bipartite_decompose(c4))
-    res = wasserstein_between(stationary_pi(c4), t0, c4, all_pairs_distances(c4))
+    t0, _ = tau_distributions(c4)
+    res = wasserstein_between(stationary_pi(c4), t0, c4)
     assert res.value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_unbalanced_rejected(c4):
-    metric = all_pairs_distances(c4)
     with pytest.raises(UnbalancedMassError):
-        wasserstein(Distribution(values=np.array([1.0, 0, 0, 0]), kind="signed"), c4, metric)
+        wasserstein(Distribution(values=np.array([1.0, 0, 0, 0]), kind="signed"), c4)
     with pytest.raises(UnbalancedMassError):
         wasserstein_between(
             point_mass(4, 0),
             Distribution(values=np.array([0.5, 0, 0, 0]), kind="probability"),
             c4,
-            metric,
         )
 
 
@@ -84,7 +81,7 @@ def test_point_masses_give_distance(c5):
     metric = all_pairs_distances(c5)
     for u in range(5):
         for v in range(5):
-            res = wasserstein_between(point_mass(5, u), point_mass(5, v), c5, metric)
+            res = wasserstein_between(point_mass(5, u), point_mass(5, v), c5)
             assert res.value == pytest.approx(metric.d(u, v), abs=1e-12)
 
 
@@ -93,7 +90,7 @@ def test_dust_sized_demand_is_decomposed():
     # so the decomposition must treat it as a sink too
     g = build_graph([(0, 1), (0, 2)], 3)
     xi = signed_distribution([1.0, -5e-13, -(1.0 - 5e-13)])
-    res = wasserstein(xi, g, all_pairs_distances(g))
+    res = wasserstein(xi, g)
     assert res.value == pytest.approx(1.0, abs=1e-15)
     assert cost_of_plan(res.plan, all_pairs_distances(g)) == pytest.approx(1.0, abs=1e-15)
     assert np.abs(res.plan.row_marginals(3) - np.maximum(xi.values, 0)).max() <= 1e-15
@@ -155,7 +152,7 @@ def test_certificates_on_random_instances():
         metric = all_pairs_distances(g)
         for _ in range(10):
             xi = _random_signed(rng, g.n)
-            res = wasserstein(xi, g, metric)
+            res = wasserstein(xi, g)
             # primal-dual agreement and edge-Lipschitz certificate
             assert abs(res.value - dual_value(res.potential, xi, g)) <= 1e-9
             assert abs(cost_of_plan(res.plan, metric) - res.value) <= 1e-9
@@ -171,25 +168,23 @@ def test_certificates_on_random_instances():
 # -- oracle -------------------------------------------------------------------------
 
 def test_oracle_examples(p3):
-    metric = all_pairs_distances(p3)
-    assert wasserstein_oracle(zero_distribution(3), p3, metric) == 0.0
-    assert wasserstein_oracle(signed_distribution([1, 0, -1]), p3, metric) == pytest.approx(2.0)
+    assert wasserstein_oracle(zero_distribution(3), p3) == 0.0
+    assert wasserstein_oracle(signed_distribution([1, 0, -1]), p3) == pytest.approx(2.0)
 
 
 def test_oracle_too_large():
     g = cycle_graph(9)
     with pytest.raises(TooLargeError):
-        wasserstein_oracle(zero_distribution(9), g, all_pairs_distances(g))
+        wasserstein_oracle(zero_distribution(9), g)
 
 
 def test_oracle_agrees_with_solver_quick():
     rng = np.random.default_rng(3)
     for g in enumerate_connected_graphs(4):
-        metric = all_pairs_distances(g)
         for _ in range(10):
             xi = _random_signed(rng, g.n)
             assert abs(
-                wasserstein(xi, g, metric).value - wasserstein_oracle(xi, g, metric)
+                wasserstein(xi, g).value - wasserstein_oracle(xi, g)
             ) <= 1e-9
 
 
@@ -200,11 +195,10 @@ def test_w_metric_axioms_random_triples():
     for g in enumerate_connected_graphs(5):
         if g.n < 2 or rng.random() < 0.8:
             continue  # seeded subsample across the family
-        metric = all_pairs_distances(g)
         mu, nu, kappa = (np.abs(rng.normal(size=g.n)) for _ in range(3))
         mu, nu, kappa = (x / x.sum() for x in (mu, nu, kappa))
         def dist(x, y):
-            return wasserstein(signed_distribution(x - y), g, metric).value
+            return wasserstein(signed_distribution(x - y), g).value
         assert dist(mu, nu) >= -1e-12
         assert abs(dist(mu, nu) - dist(nu, mu)) <= 1e-9
         assert dist(mu, kappa) <= dist(mu, nu) + dist(nu, kappa) + 1e-9
@@ -214,19 +208,17 @@ def test_w_metric_axioms_random_triples():
 @settings(max_examples=60, deadline=None)
 def test_w_scaling_and_negation(data, scale):
     g = cycle_graph(5)
-    metric = all_pairs_distances(g)
     v = np.array(data)
     v -= v.mean()
-    base = wasserstein(signed_distribution(v), g, metric).value
-    neg = wasserstein(signed_distribution(-v), g, metric).value
-    scaled = wasserstein(signed_distribution(scale * v), g, metric).value
+    base = wasserstein(signed_distribution(v), g).value
+    neg = wasserstein(signed_distribution(-v), g).value
+    scaled = wasserstein(signed_distribution(scale * v), g).value
     assert abs(base - neg) <= 1e-9
     assert abs(scaled - scale * base) <= 1e-9 * max(1.0, scale)
 
 
 def test_translation_invariance(c5):
     rng = np.random.default_rng(5)
-    metric = all_pairs_distances(c5)
     for _ in range(25):
         mu = np.abs(rng.normal(size=5))
         nu = np.abs(rng.normal(size=5))
@@ -236,13 +228,11 @@ def test_translation_invariance(c5):
             Distribution(values=mu, kind="probability"),
             Distribution(values=nu, kind="probability"),
             c5,
-            metric,
         ).value
         shifted = wasserstein_between(
             Distribution(values=mu + psi, kind="probability"),
             Distribution(values=nu + psi, kind="probability"),
             c5,
-            metric,
         ).value
         assert abs(base - shifted) <= 1e-12 * max(1.0, base)
 
@@ -250,8 +240,7 @@ def test_translation_invariance(c5):
 # -- serialization ------------------------------------------------------------------------
 
 def test_plan_csv_round_trip(p4):
-    metric = all_pairs_distances(p4)
-    res = wasserstein(signed_distribution([0.75, -0.25, -0.25, -0.25]), p4, metric)
+    res = wasserstein(signed_distribution([0.75, -0.25, -0.25, -0.25]), p4)
     text = plan_to_csv(res.plan)
     lines = text.strip().splitlines()
     assert lines[0] == "source,target,mass"

@@ -25,8 +25,7 @@ from walkdist import (
 
 
 def _setup(g):
-    tree = spanning_tree(g)
-    return tree, r_monotone_ordering(tree)
+    return r_monotone_ordering(spanning_tree(g))
 
 
 def _side_signed(g):
@@ -44,16 +43,16 @@ def _side_signed(g):
 # -- running the algorithm -------------------------------------------------------
 
 def test_zero_input_gives_zero_trace(c4):
-    tree, order = _setup(c4)
-    tr = run_tree_transport(c4, tree, order, zero_distribution(4))
+    order = _setup(c4)
+    tr = run_tree_transport(c4, order, zero_distribution(4))
     assert all(np.allclose(s, 0.0) for s in tr.states)
     assert tr.plan.moves == ()
     assert tr.total_moved == 0.0
 
 
 def test_p2_single_move(p2):
-    tree, order = _setup(p2)
-    tr = run_tree_transport(p2, tree, order, signed_distribution([1.0, -1.0]))
+    order = _setup(p2)
+    tr = run_tree_transport(p2, order, signed_distribution([1.0, -1.0]))
     assert tr.moves == (((0, 1, 1.0),),)
     assert tr.plan.moves == ((0, 1, 1.0),)
     assert cost_of_plan(tr.plan, all_pairs_distances(p2)) == pytest.approx(1.0)
@@ -61,9 +60,9 @@ def test_p2_single_move(p2):
 
 def test_c4_trace_frozen_states(c4):
     # hand-simulated run for xi = (1/2, -1/2, 1/2, -1/2) with ordering (2, 3, 0, 1)
-    tree, order = _setup(c4)
+    order = _setup(c4)
     assert order.order == (2, 3, 0, 1)
-    tr = run_tree_transport(c4, tree, order, signed_distribution([0.5, -0.5, 0.5, -0.5]))
+    tr = run_tree_transport(c4, order, signed_distribution([0.5, -0.5, 0.5, -0.5]))
     expected_states = [
         [0.5, -0.5, 0.5, -0.5],
         [0.5, -0.25, 0.0, -0.25],
@@ -89,12 +88,12 @@ def test_validity_exhaustive_random():
     for g in enumerate_connected_graphs(5):
         if g.n == 1:
             continue
-        tree, order = _setup(g)
+        order = _setup(g)
         for _ in range(3):
             v = rng.normal(size=g.n)
             v -= v.mean()
             xi = signed_distribution(v)
-            tr = run_tree_transport(g, tree, order, xi)
+            tr = run_tree_transport(g, order, xi)
             assert np.abs(tr.states[-1]).max() <= 1e-9
             pos = np.maximum(v, 0)
             neg = np.maximum(-v, 0)
@@ -107,24 +106,24 @@ def test_linearity_exhaustive():
     for g in enumerate_connected_graphs(5):
         if g.n == 1:
             continue
-        tree, order = _setup(g)
+        order = _setup(g)
         a = rng.normal(size=g.n)
         a -= a.mean()
         b = rng.normal(size=g.n)
         b -= b.mean()
-        tr_a = run_tree_transport(g, tree, order, signed_distribution(a))
-        tr_b = run_tree_transport(g, tree, order, signed_distribution(b))
-        tr_ab = run_tree_transport(g, tree, order, signed_distribution(a + b))
+        tr_a = run_tree_transport(g, order, signed_distribution(a))
+        tr_b = run_tree_transport(g, order, signed_distribution(b))
+        tr_ab = run_tree_transport(g, order, signed_distribution(a + b))
         for i in range(g.n):
             assert np.abs(tr_ab.states[i] - (tr_a.states[i] + tr_b.states[i])).max() <= 1e-9
 
 
 def test_states_zero_prefix(c6):
     rng = np.random.default_rng(9)
-    tree, order = _setup(c6)
+    order = _setup(c6)
     v = rng.normal(size=6)
     v -= v.mean()
-    tr = run_tree_transport(c6, tree, order, signed_distribution(v))
+    tr = run_tree_transport(c6, order, signed_distribution(v))
     for i in range(6):
         for p in range(i):
             assert tr.states[i][order.order[p]] == 0.0
@@ -133,10 +132,9 @@ def test_states_zero_prefix(c6):
 def test_no_later_neighbor():
     # handcrafted ordering on P3 strands mass at an endpoint
     g = path_graph(3)
-    tree = spanning_tree(g)
     order = ROrdering(order=(1, 0, 2))
     with pytest.raises(NoLaterNeighborError) as exc:
-        run_tree_transport(g, tree, order, signed_distribution([1.0, 0.0, -1.0]))
+        run_tree_transport(g, order, signed_distribution([1.0, 0.0, -1.0]))
     assert exc.value.step == 2
     assert exc.value.vertex == 0
 
@@ -144,27 +142,27 @@ def test_no_later_neighbor():
 # -- inequalities -------------------------------------------------------------------
 
 def test_inequalities_hold_on_side_pattern(c4):
-    tree, order = _setup(c4)
+    order = _setup(c4)
     xi = _side_signed(c4)
-    tr = run_tree_transport(c4, tree, order, xi)
-    assert check_inequalities(c4, tree, order, xi, tr).holds
+    tr = run_tree_transport(c4, order, xi)
+    assert check_inequalities(c4, order, xi, tr).holds
 
 
 def test_adjacent_same_sign_violates_i2(p4):
-    tree, order = _setup(p4)
+    order = _setup(p4)
     xi = signed_distribution([0.5, 0.5, -0.5, -0.5])
-    tr = run_tree_transport(p4, tree, order, xi)
-    rep = check_inequalities(p4, tree, order, xi, tr)
+    tr = run_tree_transport(p4, order, xi)
+    rep = check_inequalities(p4, order, xi, tr)
     assert not rep.holds
     if rep.first_violation.inequality == "I2":
         assert rep.first_violation.vertices in {(0, 1), (2, 3)}
 
 
 def test_zero_distribution_violates_i1(c4):
-    tree, order = _setup(c4)
+    order = _setup(c4)
     xi = zero_distribution(4)
-    tr = run_tree_transport(c4, tree, order, xi)
-    rep = check_inequalities(c4, tree, order, xi, tr)
+    tr = run_tree_transport(c4, order, xi)
+    rep = check_inequalities(c4, order, xi, tr)
     assert not rep.holds
     assert rep.first_violation.inequality == "I1"
 
@@ -174,9 +172,9 @@ def test_sign_pattern_bound_bipartite():
     for g in enumerate_connected_graphs(5):
         if g.n == 1 or not bipartite_decompose(g).is_bipartite:
             continue
-        tree, order = _setup(g)
+        order = _setup(g)
         xi = _side_signed(g)
-        tr = run_tree_transport(g, tree, order, xi)
+        tr = run_tree_transport(g, order, xi)
         bound = 1.0 / g.edge_count
         bip = bipartite_decompose(g)
         for i in range(g.n - 1):
@@ -194,7 +192,7 @@ def test_stability_radius():
     for g in enumerate_connected_graphs(5):
         if g.n < 2 or not bipartite_decompose(g).is_bipartite:
             continue
-        tree, order = _setup(g)
+        order = _setup(g)
         base = _side_signed(g).values
         eps = epsilon_bound(g)
         for _ in range(4):
@@ -204,8 +202,8 @@ def test_stability_radius():
             if scale > 0:
                 delta *= 0.9 * eps / scale
             xi = signed_distribution(base + delta)
-            tr = run_tree_transport(g, tree, order, xi)
-            assert check_inequalities(g, tree, order, xi, tr).holds
+            tr = run_tree_transport(g, order, xi)
+            assert check_inequalities(g, order, xi, tr).holds
 
 
 def test_cost_equals_half_l1_when_inequalities_hold():
@@ -215,7 +213,7 @@ def test_cost_equals_half_l1_when_inequalities_hold():
         if g.n < 2:
             continue
         metric = all_pairs_distances(g)
-        tree, order = _setup(g)
+        order = _setup(g)
         candidates = []
         if bipartite_decompose(g).is_bipartite:
             candidates.append(_side_signed(g).values)
@@ -225,12 +223,12 @@ def test_cost_equals_half_l1_when_inequalities_hold():
             candidates.append(v)
         for v in candidates:
             xi = signed_distribution(v)
-            tr = run_tree_transport(g, tree, order, xi)
-            if check_inequalities(g, tree, order, xi, tr).holds:
+            tr = run_tree_transport(g, order, xi)
+            if check_inequalities(g, order, xi, tr).holds:
                 checked_positive += 1
                 target = half_l1(xi)
                 assert cost_of_plan(tr.plan, metric) == pytest.approx(target, abs=1e-9)
-                assert wasserstein(xi, g, metric).value == pytest.approx(target, abs=1e-9)
+                assert wasserstein(xi, g).value == pytest.approx(target, abs=1e-9)
     assert checked_positive > 50  # the bipartite side patterns alone guarantee plenty
 
 
@@ -249,9 +247,9 @@ def test_epsilon_examples(p2, c4, k13):
 
 
 def test_trace_jsonable(c4):
-    tree, order = _setup(c4)
+    order = _setup(c4)
     xi = _side_signed(c4)
-    tr = run_tree_transport(c4, tree, order, xi)
+    tr = run_tree_transport(c4, order, xi)
     payload = trace_to_jsonable(tr)
     assert len(payload["states"]) == 4
     assert payload["total_moved"] == pytest.approx(tr.total_moved)

@@ -153,14 +153,13 @@ def test_stationary_examples(p3, c4, k13):
 
 
 def test_tau_examples(c4, p2, k13):
-    b = bipartite_decompose(c4)
-    t0, t1 = tau_distributions(c4, b)
+    t0, t1 = tau_distributions(c4)
     assert np.allclose(t0.values, [0.5, 0, 0.5, 0], atol=1e-15)
     assert np.allclose(t1.values, [0, 0.5, 0, 0.5], atol=1e-15)
-    t0, t1 = tau_distributions(p2, bipartite_decompose(p2))
+    t0, t1 = tau_distributions(p2)
     assert np.array_equal(t0.values, [1, 0])
     assert np.array_equal(t1.values, [0, 1])
-    t0, t1 = tau_distributions(k13, bipartite_decompose(k13))
+    t0, t1 = tau_distributions(k13)
     assert np.allclose(t0.values, [1, 0, 0, 0], atol=1e-15)
     assert np.allclose(t1.values, [0, 1 / 3, 1 / 3, 1 / 3], atol=1e-15)
     assert abs(t0.values.sum() - 1) < 1e-12 and abs(t1.values.sum() - 1) < 1e-12
@@ -168,7 +167,7 @@ def test_tau_examples(c4, p2, k13):
 
 def test_tau_rejects_non_bipartite(k3):
     with pytest.raises(NotBipartiteError):
-        tau_distributions(k3, bipartite_decompose(k3))
+        tau_distributions(k3)
 
 
 # -- limit_xi -----------------------------------------------------------------------------
