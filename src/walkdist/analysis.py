@@ -35,10 +35,15 @@ from .errors import (
     WrongCategoryError,
 )
 from .graphs import Graph
-from .transport import DEFAULT_TOL_GAP, _flow_value
-from .walks import (
-    PARAM_TOL, Guvab, pair_states, point_mass, stationary_pi, transition_matrix
+from .tolerances import (
+    PARAM_TOL, RATE_FLOOR, RATE_WINDOW_HIGH, RATE_WINDOW_LOW, UNIT_MODULUS_TOL, W_TOL
 )
+from .transport import _flow_value
+from .walks import Guvab, pair_states, point_mass, stationary_pi, transition_matrix
+
+RHO_CONFIRM_K = 50  # steps W_k must stay at 1 past the onset rho_bounds reports
+RHO_MAX_K = 400  # last step rho_bounds computes
+RATE_WINDOW_POINTS = 12  # latest in-window points rate_fit_window keeps
 
 
 class Category(enum.Enum):
@@ -134,7 +139,7 @@ def _point_to_side_limit(graph: Graph, v: int, side: int) -> float:
         for w in range(graph.n)
         if graph.bipartite.side[w] == side
     )
-    return 2.0 * total / deg_sum
+    return float(2.0 * total / deg_sum)
 
 
 def _point_to_pi_limit(graph: Graph, v: int) -> float:
@@ -156,7 +161,7 @@ def _converges_to_zero(graph: Graph, u: int, v: int, alpha: float, beta: float) 
     return False
 
 
-def classify(guvab: Guvab, tol_gap: float = DEFAULT_TOL_GAP) -> ClassificationReport:
+def classify(guvab: Guvab) -> ClassificationReport:
     """Closed-form category, parity limits, and constancy verdict.
 
     Single-vertex graphs are frozen by structure and classified directly;
@@ -193,7 +198,7 @@ def classify(guvab: Guvab, tol_gap: float = DEFAULT_TOL_GAP) -> ClassificationRe
         category = Category.W_HALF
         limit_even = limit_odd = 0.5
 
-    converges = abs(limit_even - limit_odd) <= tol_gap
+    converges = abs(limit_even - limit_odd) <= W_TOL
     limit = limit_even if converges else None
 
     if graph.n == 1:
@@ -307,25 +312,21 @@ def spectral_data(guvab: Guvab) -> SpectralData:
     eigs_a = spectrum(guvab.graph, guvab.alpha)
     eigs_b = spectrum(guvab.graph, guvab.beta)
     moduli = np.abs(np.concatenate([eigs_a, eigs_b]))
-    below_one = moduli[moduli < 1.0 - 1e-9]
+    below_one = moduli[moduli < 1.0 - UNIT_MODULUS_TOL]
     lam = float(below_one.max()) if below_one.size else 0.0
     return SpectralData(eigs_alpha=eigs_a, eigs_beta=eigs_b, lambda_max=lam)
 
 
-def rho_bounds(
-    guvab: Guvab,
-    tol_gap: float = DEFAULT_TOL_GAP,
-    k_confirm: int = 50,
-    k_cap: int = 400,
-) -> RhoBounds:
+def rho_bounds(guvab: Guvab) -> RhoBounds:
     """Bounds and empirical value of the constancy onset in the W1 category.
 
     Lower bound d(u,v)/2 - 1 (mass supports too far apart earlier); upper
     bound 10 ln|V| / (1 - lambda_max^2) from the mixing rate.  The empirical
-    value is the first index N with W_k = 1 (within tol) for every sampled
-    k in [N, N + k_confirm]; None if no such window fits under the cap.
+    value is the first index N with W_k = 1 (within ``W_TOL``) for every
+    sampled k in [N, N + RHO_CONFIRM_K]; None if no such window fits within
+    ``RHO_MAX_K`` steps.
     """
-    report = classify(guvab, tol_gap=tol_gap)
+    report = classify(guvab)
     if report.category is not Category.W1:
         raise WrongCategoryError(
             f"constancy-onset bounds need category W1, got {report.category.value}"
@@ -333,14 +334,14 @@ def rho_bounds(
     lower = float(guvab.graph.metric.dist[guvab.u, guvab.v]) / 2.0 - 1.0
     lambda_max = spectral_data(guvab).lambda_max
     upper = 10.0 * math.log(guvab.graph.n) / (1.0 - lambda_max**2)
-    horizon = min(k_cap, int(math.ceil(upper)) + k_confirm + 2)
+    horizon = min(RHO_MAX_K, int(math.ceil(upper)) + RHO_CONFIRM_K + 2)
     series = wk_series(guvab, horizon)
-    flat = [abs(w - 1.0) <= tol_gap for _, w in series]
+    flat = [abs(w - 1.0) <= W_TOL for _, w in series]
     empirical: int | None = None
     idx = len(flat)
     while idx > 0 and flat[idx - 1]:
         idx -= 1
-    if idx + k_confirm <= horizon:
+    if idx + RHO_CONFIRM_K <= horizon:
         empirical = idx
     return RhoBounds(lower=lower, upper=upper, empirical=empirical)
 
@@ -360,16 +361,14 @@ def wk_series(guvab: Guvab, k_max: int) -> list[tuple[int, float]]:
     return list(enumerate(ws))
 
 
-def one_step_constancy_check(
-    guvab: Guvab, k_max: int = 40, tol_gap: float = DEFAULT_TOL_GAP
-) -> bool:
+def one_step_constancy_check(guvab: Guvab, k_max: int = 40) -> bool:
     """Decidable constancy test for the W0 and BETA1 categories.
 
     In these categories an eventually constant distance is constant already
     from k = 1, so equality of W_1..W_{k_max} decides constancy in both
-    directions (a decaying sequence cannot stay within tolerance that long).
+    directions (a decaying sequence cannot stay within ``W_TOL`` that long).
     """
-    report = classify(guvab, tol_gap=tol_gap)
+    report = classify(guvab)
     if report.category not in (Category.W0, Category.BETA1):
         raise WrongCategoryError(
             f"one-step constancy check needs W0 or BETA1, got {report.category.value}"
@@ -383,21 +382,13 @@ def one_step_constancy_check(
     )
     ws = (_flow_value(graph, mu - nu) for mu, nu in islice(states, 1, max(k_max, 1) + 1))
     w1 = next(ws)
-    return all(abs(w - w1) <= tol_gap for w in ws)
+    return all(abs(w - w1) <= W_TOL for w in ws)
 
 
-RATE_FLOOR = 1e-13
-
-
-def fit_rate(
-    series: list[tuple[int, float]],
-    limit: float,
-    parity: str,
-    floor: float = RATE_FLOOR,
-) -> RateEstimate:
+def fit_rate(series: list[tuple[int, float]], limit: float, parity: str) -> RateEstimate:
     """Least-squares exponential fit of |W_k - limit| on one parity class.
 
-    Fits log-error against k over the points above the numerical floor;
+    Fits log-error against k over the points above ``RATE_FLOOR``;
     returns the per-step factor lam = exp(slope), prefactor c =
     exp(intercept), and the RMS log-residual.  Raises EventuallyConstant when
     every residual sits below the floor and TooFewPoints below 6 usable
@@ -407,7 +398,7 @@ def fit_rate(
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     want = 0 if parity == "even" else 1
     pts = [(k, abs(w - limit)) for k, w in series if k >= 1 and k % 2 == want]
-    usable = [(k, e) for k, e in pts if e > floor]
+    usable = [(k, e) for k, e in pts if e > RATE_FLOOR]
     if pts and not usable:
         raise EventuallyConstantError(
             "all residuals below the numerical floor; no rate to fit"
@@ -428,24 +419,19 @@ def fit_rate(
 
 
 def rate_fit_window(
-    series: list[tuple[int, float]],
-    limit: float,
-    parity: str,
-    err_high: float = 1e-2,
-    err_low: float = 1e-10,
-    max_points: int = 12,
+    series: list[tuple[int, float]], limit: float, parity: str
 ) -> list[tuple[int, float]]:
     """Late-window subseries for a trustworthy rate fit.
 
-    Keeps the last ``max_points`` parity-matching points whose error lies in
-    [err_low, err_high]: late points minimize contamination from
-    faster-decaying spectral modes, while the floor stays well above the
-    absolute float noise accumulated by the step iteration.
+    Keeps the last ``RATE_WINDOW_POINTS`` parity-matching points whose error
+    lies in [RATE_WINDOW_LOW, RATE_WINDOW_HIGH]: late points minimize
+    contamination from faster-decaying spectral modes, while the floor stays
+    well above the absolute float noise accumulated by the step iteration.
     """
     want = 0 if parity == "even" else 1
     window = [
         (k, w)
         for k, w in series
-        if k >= 1 and k % 2 == want and err_low <= abs(w - limit) <= err_high
+        if k >= 1 and k % 2 == want and RATE_WINDOW_LOW <= abs(w - limit) <= RATE_WINDOW_HIGH
     ]
-    return window[-max_points:]
+    return window[-RATE_WINDOW_POINTS:]

@@ -32,6 +32,9 @@ from .graphs import (
     r_monotone_ordering,
     spanning_tree,
 )
+from .tolerances import (
+    CLASS_SIM_TOL, FIT_RESIDUAL_TOL, PARAM_TOL, RATE_MATCH_TOL, SETTLED_TOL, W_TOL
+)
 from .walks import Guvab, transition_matrix
 
 EXIT_OK = 0
@@ -39,12 +42,9 @@ EXIT_USER_ERROR = 2
 EXIT_DISCREPANCY = 3
 EXIT_PRECONDITION = 4
 
-CLASS_SIM_TOL = 1e-5  # closed-form limit vs late simulation
-RATE_MATCH_TOL = 1e-3  # fitted decay factor vs eigenvalue modulus
-FIT_RESIDUAL_TOL = 1e-3  # log-RMS residual above which a fit is not trusted
-SPOT_CHECK_TOL = 1e-9  # sweep's corner-dual W_k vs an independent flow solve
 SWEEP_GRID = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0)  # default sweep lazinesses
 SWEEP_TABLE_K = 100  # last step of the W_k table each sweep row slices its series from
+SWEEP_LIMIT_K = 400  # sweep checks W at this even step and the next against the limits
 
 
 def _fmt(x: float) -> str:
@@ -72,8 +72,6 @@ class RunConfig:
 
     guvab: Guvab
     k_max: int
-    tol_mass: float
-    tol_gap: float
     out: str | None
     fmt: str
 
@@ -94,12 +92,8 @@ def _add_common_flags(
 
 
 def _build_config(args, default_fmt: str) -> RunConfig:
-    tol_mass = getattr(args, "tol_mass", walks.DEFAULT_TOL_MASS)
-    tol_gap = getattr(args, "tol_gap", transport.DEFAULT_TOL_GAP)
     if args.config:
-        guvab, tols = walks.load_guvab_config(args.config)
-        tol_mass = tols.get("tol_mass", tol_mass)
-        tol_gap = tols.get("tol_gap", tol_gap)
+        guvab = walks.load_guvab_config(args.config)
         # explicit flags override config values
         if any(x is not None for x in (args.graph, args.u, args.v, args.alpha, args.beta)):
             graph = load_graph_file(args.graph) if args.graph else guvab.graph
@@ -129,14 +123,7 @@ def _build_config(args, default_fmt: str) -> RunConfig:
     k_max = getattr(args, "kmax", 0)
     if k_max is None or k_max < 0:
         raise ValueError(f"--kmax must be nonnegative, got {k_max}")
-    return RunConfig(
-        guvab=guvab,
-        k_max=k_max,
-        tol_mass=tol_mass,
-        tol_gap=tol_gap,
-        out=args.out,
-        fmt=args.fmt or default_fmt,
-    )
+    return RunConfig(guvab=guvab, k_max=k_max, out=args.out, fmt=args.fmt or default_fmt)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -150,7 +137,7 @@ def _emit(text: str, out: str | None) -> None:
 # -- classify -------------------------------------------------------------------
 
 def cmd_classify(cfg: RunConfig) -> int:
-    report = analysis.classify(cfg.guvab, tol_gap=cfg.tol_gap)
+    report = analysis.classify(cfg.guvab)
     _emit(_dump_json(report.to_jsonable()), cfg.out)
     return EXIT_OK
 
@@ -167,7 +154,7 @@ def _fit(series, limit: float, parity: str) -> analysis.RateEstimate | None:
 
 
 def cmd_trace(cfg: RunConfig) -> int:
-    report = analysis.classify(cfg.guvab, tol_gap=cfg.tol_gap)
+    report = analysis.classify(cfg.guvab)
     series = analysis.wk_series(cfg.guvab, cfg.k_max)
     limits = (report.limit_even, report.limit_odd)
     rows = [(k, w, abs(w - limits[k % 2])) for k, w in series]
@@ -199,9 +186,9 @@ def cmd_tree_transport(cfg: RunConfig, k: int) -> int:
     graph = cfg.guvab.graph
     ordering = r_monotone_ordering(spanning_tree(graph))
     xi = walks.xi_k(cfg.guvab, k)
-    trace = tree_transport.run_tree_transport(graph, ordering, xi, cfg.tol_mass)
+    trace = tree_transport.run_tree_transport(graph, ordering, xi)
     report = tree_transport.check_inequalities(graph, ordering, xi, trace)
-    result = transport.wasserstein(xi, graph, tol_mass=cfg.tol_mass)
+    result = transport.wasserstein(xi, graph)
     payload = {
         "k": k,
         "xi": [float(x) for x in xi.values],
@@ -232,8 +219,8 @@ def cmd_distance(args) -> int:
         mu = transport.distribution_from_csv(fh.read(), graph.n)
     with open(args.nu, "r", encoding="utf-8") as fh:
         nu = transport.distribution_from_csv(fh.read(), graph.n)
-    result = transport.wasserstein_between(mu, nu, graph, tol_mass=args.tol_mass)
-    xi = walks.signed_distribution(mu.values - nu.values, tol_mass=args.tol_mass)
+    result = transport.wasserstein_between(mu, nu, graph)
+    xi = walks.signed_distribution(mu.values - nu.values)
     dual = transport.dual_value(result.potential, xi, graph)
     fmt = args.fmt or "json"
     if fmt == "csv":
@@ -279,18 +266,13 @@ def _settled_prefix(ws: list[float], limits: tuple[float, float]):
     for k in range(1, len(ws)):
         w = ws[k]
         series.append((k, w))
-        dead_run = dead_run + 1 if abs(w - limits[k % 2]) < 1e-12 else 0
+        dead_run = dead_run + 1 if abs(w - limits[k % 2]) < SETTLED_TOL else 0
         if k > 41 and dead_run >= 2:
             break
     return series
 
 
-def run_sweep(
-    n_max: int,
-    grid: list[float],
-    k_max: int,
-    tol_gap: float = transport.DEFAULT_TOL_GAP,
-):
+def run_sweep(n_max: int, grid: list[float]):
     """Validate closed-form predictions against simulation on every labeled
     connected graph up to n_max vertices.
 
@@ -320,9 +302,8 @@ def run_sweep(
             p_b = transition_matrix(graph, b).entries
             xi, table = _sweep_series(graph, p_a, p_b, SWEEP_TABLE_K)
             by_start = table.transpose(1, 2, 0).tolist()  # [u][v] -> W_0..W_SWEEP_TABLE_K
-            k_hi = k_max if k_max % 2 == 0 else k_max + 1
-            pow_a = np.linalg.matrix_power(p_a, k_hi)
-            pow_b = np.linalg.matrix_power(p_b, k_hi)
+            pow_a = np.linalg.matrix_power(p_a, SWEEP_LIMIT_K)
+            pow_b = np.linalg.matrix_power(p_b, SWEEP_LIMIT_K)
             pow_a1 = pow_a @ p_a
             pow_b1 = pow_b @ p_b
             sims_even = transport.corner_values(
@@ -335,7 +316,7 @@ def run_sweep(
             for u in range(graph.n):
                 for v in range(graph.n):
                     guvab = Guvab(graph=graph, u=u, v=v, alpha=a, beta=b)
-                    report = analysis.classify(guvab, tol_gap=tol_gap)
+                    report = analysis.classify(guvab)
                     err_even = abs(float(sims_even[u, v]) - report.limit_even)
                     err_odd = abs(float(sims_odd[u, v]) - report.limit_odd)
                     if err_even > CLASS_SIM_TOL or err_odd > CLASS_SIM_TOL:
@@ -345,16 +326,16 @@ def run_sweep(
                     # independent check of the corner table: one flow solve per row
                     k_spot = 1 + (len(lines) - 1) % 40
                     w_flow = transport._flow_value(graph, xi[k_spot, u, v])
-                    if abs(w_flow - by_start[u][v][k_spot]) > SPOT_CHECK_TOL:
+                    if abs(w_flow - by_start[u][v][k_spot]) > W_TOL:
                         discrepancies += 1
                     if report.category is Category.W1:
                         check = True
                     elif report.category is Category.W_HALF:
-                        check = abs(b - 0.5) <= 1e-12
+                        check = abs(b - 0.5) <= PARAM_TOL
                     else:
                         w1 = series[1][1]
                         check = all(
-                            abs(w - w1) <= tol_gap for k, w in series[2:41] if k <= 40
+                            abs(w - w1) <= W_TOL for k, w in series[2:41] if k <= 40
                         )
                     predicted = report.constancy_predicted
                     agree = predicted is None or predicted == check
@@ -413,9 +394,7 @@ def run_sweep(
 
 def cmd_sweep(args) -> int:
     grid = [float(x) for x in args.grid.split(",")] if args.grid else list(SWEEP_GRID)
-    text, discrepancies, skipped = run_sweep(
-        args.nmax, grid, args.kmax, tol_gap=args.tol_gap
-    )
+    text, discrepancies, skipped = run_sweep(args.nmax, grid)
     _emit(text, args.out)
     if args.out:
         sys.stdout.write(
@@ -437,16 +416,13 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="limit category and constancy verdict")
     _add_common_flags(p, ("json",), with_kmax=False)
-    p.add_argument("--tol-gap", type=float, default=transport.DEFAULT_TOL_GAP)
 
     p = sub.add_parser("trace", help="W_k series with error column")
     _add_common_flags(p, ("csv", "json"))
-    p.add_argument("--tol-gap", type=float, default=transport.DEFAULT_TOL_GAP)
 
     p = sub.add_parser("tree-transport", help="run the settling algorithm on xi_k")
     _add_common_flags(p, ("json",), with_kmax=False)
     p.add_argument("--k", type=int, default=0, help="step index of xi to transport")
-    p.add_argument("--tol-mass", type=float, default=walks.DEFAULT_TOL_MASS)
 
     p = sub.add_parser("distance", help="Wasserstein between two distribution files")
     p.add_argument("--graph", required=True)
@@ -454,14 +430,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True, help="CSV file 'vertex,mass'")
     p.add_argument("--out")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-    p.add_argument("--tol-mass", type=float, default=walks.DEFAULT_TOL_MASS)
 
     p = sub.add_parser("sweep", help="exhaustive validation over small graphs")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--grid", help="comma-separated laziness values")
-    p.add_argument("--kmax", type=int, default=400)
     p.add_argument("--out")
-    p.add_argument("--tol-gap", type=float, default=transport.DEFAULT_TOL_GAP)
     return parser
 
 

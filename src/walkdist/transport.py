@@ -30,13 +30,10 @@ import numpy as np
 
 from .errors import NotLipschitzError, TooLargeError, UnbalancedMassError
 from .graphs import Graph, Metric
-from .walks import DEFAULT_TOL_MASS, Distribution
+from .tolerances import DUST, LIPSCHITZ_TOL, MASS_TOL
+from .walks import Distribution
 
-DEFAULT_TOL_GAP = 1e-9
 ORACLE_MAX_VERTICES = 8
-
-# Mass below this is treated as numerical dust by the solver internals.
-_DUST = 1e-13
 
 
 @dataclass(frozen=True)
@@ -82,10 +79,10 @@ class TransportResult:
     potential: DualPotential
 
 
-def _require_zero_sum(values: np.ndarray, tol_mass: float) -> None:
+def _require_zero_sum(values: np.ndarray) -> None:
     total = float(values.sum())
-    if abs(total) > tol_mass:
-        raise UnbalancedMassError(f"mass imbalance {total!r} exceeds {tol_mass!r}")
+    if abs(total) > MASS_TOL:
+        raise UnbalancedMassError(f"mass imbalance {total!r} exceeds {MASS_TOL!r}")
 
 
 def _flow_value(graph: Graph, supply: np.ndarray) -> float:
@@ -119,7 +116,7 @@ def _min_cost_flow(graph: Graph, supply: np.ndarray):
 
     guard = 10 * n * n * (graph.edge_count + 1) + 100
     for _ in range(guard):
-        src = next((i for i in range(n) if balance[i] > _DUST), -1)
+        src = next((i for i in range(n) if balance[i] > DUST), -1)
         if src < 0:
             return flow, pot
         dist = [(inf, 0)] * n
@@ -136,7 +133,7 @@ def _min_cost_flow(graph: Graph, supply: np.ndarray):
                 if done[b]:
                     continue
                 # moving a -> b cancels opposing flow at cost -1, else costs 1
-                cost = -1.0 if signed_flow(b, a) > _DUST else 1.0
+                cost = -1.0 if signed_flow(b, a) > DUST else 1.0
                 nd = (d + cost + pot[a] - pot[b], hops + 1)
                 if nd < dist[b]:
                     dist[b] = nd
@@ -145,7 +142,7 @@ def _min_cost_flow(graph: Graph, supply: np.ndarray):
         tgt = -1
         best = (inf, 0)
         for i in range(n):
-            if balance[i] < -_DUST and dist[i] < best:
+            if balance[i] < -DUST and dist[i] < best:
                 best = dist[i]
                 tgt = i
         if tgt < 0:
@@ -159,7 +156,7 @@ def _min_cost_flow(graph: Graph, supply: np.ndarray):
         while v != src:
             a = prev[v]
             opposing = signed_flow(v, a)
-            if opposing > _DUST:
+            if opposing > DUST:
                 amount = min(amount, opposing)
             v = a
         v = tgt
@@ -179,7 +176,7 @@ def _decompose_flows(n: int, arc_flows: dict[tuple[int, int], float]) -> Transpo
 
     Works for any arc flow whose positive-flow arcs contain no directed
     cycle; both the min-cost solver and the tree-based transport algorithm
-    produce such flows.  Arcs carrying at most ``_DUST`` are dropped, and
+    produce such flows.  Arcs carrying at most ``DUST`` are dropped, and
     supplies and demands are the divergence of the arcs that are kept.  A
     path that reaches a dead end (what is left there is split over arcs that
     each carry dust) drops that residue instead of routing it, so a vertex's
@@ -187,9 +184,9 @@ def _decompose_flows(n: int, arc_flows: dict[tuple[int, int], float]) -> Transpo
     """
     remaining: dict[tuple[int, int], float] = {}
     for (a, b), f in arc_flows.items():
-        if f > _DUST:
+        if f > DUST:
             remaining[(a, b)] = f
-        elif f < -_DUST:
+        elif f < -DUST:
             remaining[(b, a)] = -f
     divergence = [0.0] * n
     for (a, b), f in remaining.items():
@@ -203,14 +200,14 @@ def _decompose_flows(n: int, arc_flows: dict[tuple[int, int], float]) -> Transpo
     moves: dict[tuple[int, int], float] = {}
     # each pass zeroes an arc, a supply, or a demand, bounding the loop
     for _ in range(len(remaining) + 2 * n + 4):
-        src = next((i for i, s in enumerate(supply_rem) if s > _DUST), -1)
+        src = next((i for i, s in enumerate(supply_rem) if s > DUST), -1)
         if src < 0:
             break
         path = [src]
         v = src
-        while v == src or demand_rem[v] <= _DUST:
+        while v == src or demand_rem[v] <= DUST:
             v = next(
-                (w for w in out.get(v, ()) if remaining.get((v, w), 0.0) > _DUST), -1
+                (w for w in out.get(v, ()) if remaining.get((v, w), 0.0) > DUST), -1
             )
             if v < 0:
                 break
@@ -235,9 +232,7 @@ def _decompose_flows(n: int, arc_flows: dict[tuple[int, int], float]) -> Transpo
     return TransportPlan(moves=tuple((s, t, m) for (s, t), m in sorted(moves.items())))
 
 
-def wasserstein(
-    xi: Distribution, graph: Graph, tol_mass: float = DEFAULT_TOL_MASS
-) -> TransportResult:
+def wasserstein(xi: Distribution, graph: Graph) -> TransportResult:
     """Exact Wasserstein distance from xi to the zero distribution.
 
     Returns the optimal value together with a sparse plan (row marginals the
@@ -247,9 +242,9 @@ def wasserstein(
     shift is ever materialized.
     """
     values = np.asarray(xi.values, dtype=float)
-    _require_zero_sum(values, tol_mass)
+    _require_zero_sum(values)
     n = graph.n
-    if float(np.abs(values).max(initial=0.0)) <= _DUST:
+    if float(np.abs(values).max(initial=0.0)) <= DUST:
         return TransportResult(
             value=0.0,
             plan=TransportPlan(moves=()),
@@ -264,12 +259,7 @@ def wasserstein(
     return TransportResult(value=value, plan=plan, potential=DualPotential(ell=ell))
 
 
-def wasserstein_between(
-    mu: Distribution,
-    nu: Distribution,
-    graph: Graph,
-    tol_mass: float = DEFAULT_TOL_MASS,
-) -> TransportResult:
+def wasserstein_between(mu: Distribution, nu: Distribution, graph: Graph) -> TransportResult:
     """Wasserstein distance between two equal-mass distributions.
 
     Reduces to the signed problem on mu - nu; shifting both inputs by the
@@ -277,12 +267,12 @@ def wasserstein_between(
     """
     total_mu = float(mu.values.sum())
     total_nu = float(nu.values.sum())
-    if abs(total_mu - total_nu) > tol_mass:
+    if abs(total_mu - total_nu) > MASS_TOL:
         raise UnbalancedMassError(
             f"mass mismatch: sum(mu)={total_mu!r} vs sum(nu)={total_nu!r}"
         )
     diff = Distribution(values=mu.values - nu.values, kind="signed")
-    return wasserstein(diff, graph, tol_mass=tol_mass)
+    return wasserstein(diff, graph)
 
 
 def cost_of_plan(plan: TransportPlan, metric: Metric) -> float:
@@ -290,27 +280,20 @@ def cost_of_plan(plan: TransportPlan, metric: Metric) -> float:
     return float(sum(m * metric.dist[s, t] for s, t, m in plan.moves))
 
 
-def dual_value(
-    potential: DualPotential,
-    xi: Distribution,
-    graph: Graph | None = None,
-    lipschitz_tol: float = 1e-12,
-) -> float:
+def dual_value(potential: DualPotential, xi: Distribution, graph: Graph | None = None) -> float:
     """Dual objective sum(ell * xi); validates edge constraints when a graph is given."""
     ell = potential.ell
     if graph is not None:
         for a, b in graph.edges:
             gap = abs(float(ell[a] - ell[b]))
-            if gap > 1.0 + lipschitz_tol:
+            if gap > 1.0 + LIPSCHITZ_TOL:
                 raise NotLipschitzError(
                     f"|ell[{a}] - ell[{b}]| = {gap!r} exceeds 1 on an edge"
                 )
     return float(np.dot(ell, xi.values))
 
 
-def wasserstein_oracle(
-    xi: Distribution, graph: Graph, tol_mass: float = DEFAULT_TOL_MASS
-) -> float:
+def wasserstein_oracle(xi: Distribution, graph: Graph) -> float:
     """Brute-force dual maximum over integer edge-Lipschitz vertex functions.
 
     Enumerates every integer vector with value 0 at vertex 0, entries within
@@ -323,7 +306,7 @@ def wasserstein_oracle(
             f"oracle enumeration limited to n <= {ORACLE_MAX_VERTICES}, got {graph.n}"
         )
     values = np.asarray(xi.values, dtype=float)
-    _require_zero_sum(values, tol_mass)
+    _require_zero_sum(values)
     return float(corner_values(values, graph.corners))
 
 
@@ -373,5 +356,5 @@ def distribution_from_csv(text: str, n: int) -> Distribution:
         if not 0 <= vtx < n:
             raise ValueError(f"line {line_no + 1}: vertex {vtx} outside 0..{n - 1}")
         values[vtx] += float(parts[1])
-    kind = "signed" if abs(float(values.sum())) <= DEFAULT_TOL_MASS else "probability"
+    kind = "signed" if abs(float(values.sum())) <= MASS_TOL else "probability"
     return Distribution(values=values, kind=kind)

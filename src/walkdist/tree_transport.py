@@ -23,13 +23,8 @@ import numpy as np
 from .errors import NoLaterNeighborError
 from .graphs import Graph, ROrdering
 from .transport import TransportPlan, _decompose_flows, _require_zero_sum
-from .walks import DEFAULT_TOL_MASS, Distribution
-
-DEFAULT_TOL_STRICT = 1e-12
-
-# Masses at or below this are treated as already settled; keeps float dust
-# from triggering spurious moves while leaving linearity intact at test scale.
-_ZERO_MASS = 1e-15
+from .tolerances import STRICT_TOL, ZERO_MASS
+from .walks import Distribution
 
 
 @dataclass(frozen=True)
@@ -68,21 +63,17 @@ class InequalityReport:
     first_violation: Violation | None
 
 
-def run_tree_transport(
-    graph: Graph,
-    ordering: ROrdering,
-    xi: Distribution,
-    tol_mass: float = DEFAULT_TOL_MASS,
-) -> AlgorithmTrace:
+def run_tree_transport(graph: Graph, ordering: ROrdering, xi: Distribution) -> AlgorithmTrace:
     """Run the settling algorithm and record every state and transfer.
 
     Raises :class:`NoLaterNeighborError` if a vertex still holding mass has
     no graph neighbor with a later ordering index; canonical orderings from
     BFS spanning trees are not known to trigger this, but arbitrary orderings
-    can.
+    can.  A vertex holding at most ``ZERO_MASS`` is already settled, so float
+    dust triggers no moves while linearity stays intact at test scale.
     """
     values = np.asarray(xi.values, dtype=float)
-    _require_zero_sum(values, tol_mass)
+    _require_zero_sum(values)
     n = graph.n
     order = ordering.order
     pos = ordering.positions()
@@ -94,7 +85,7 @@ def run_tree_transport(
         w = order[i]
         mass = float(state[w])
         step_moves: list[tuple[int, int, float]] = []
-        if abs(mass) > _ZERO_MASS:
+        if abs(mass) > ZERO_MASS:
             later = [t for t in graph.adjacency[w] if pos[t] > i]
             if not later:
                 raise NoLaterNeighborError(step=i + 1, vertex=w)
@@ -123,18 +114,14 @@ def _accumulate(arc_flows: dict[tuple[int, int], float], a: int, b: int, m: floa
 
 
 def check_inequalities(
-    graph: Graph,
-    ordering: ROrdering,
-    xi: Distribution,
-    trace: AlgorithmTrace,
-    tol_strict: float = DEFAULT_TOL_STRICT,
+    graph: Graph, ordering: ROrdering, xi: Distribution, trace: AlgorithmTrace
 ) -> InequalityReport:
     """Evaluate the optimality inequalities on a recorded run.
 
     I1 requires xi(w_j) * A_i(xi)(w_j) > 0 for every state index
     i <= n - 2 and every ordering position j > i; I2 requires
     xi(s) * xi(t) < 0 across every edge.  Both are strict: products within
-    ``tol_strict`` of zero count as violations.
+    ``STRICT_TOL`` of zero count as violations.
     """
     values = np.asarray(xi.values, dtype=float)
     order = ordering.order
@@ -143,7 +130,7 @@ def check_inequalities(
         state = trace.states[i]
         for p in range(i, n):
             w = order[p]
-            if values[w] * state[w] <= tol_strict:
+            if values[w] * state[w] <= STRICT_TOL:
                 return InequalityReport(
                     holds=False,
                     first_violation=Violation(
@@ -151,7 +138,7 @@ def check_inequalities(
                     ),
                 )
     for a, b in graph.edges:
-        if values[a] * values[b] >= -tol_strict:
+        if values[a] * values[b] >= -STRICT_TOL:
             return InequalityReport(
                 holds=False,
                 first_violation=Violation(
@@ -161,10 +148,10 @@ def check_inequalities(
     return InequalityReport(holds=True, first_violation=None)
 
 
-def half_l1(xi: Distribution, tol_mass: float = DEFAULT_TOL_MASS) -> float:
+def half_l1(xi: Distribution) -> float:
     """Half the L1 norm of a zero-sum distribution (its total positive mass)."""
     values = np.asarray(xi.values, dtype=float)
-    _require_zero_sum(values, tol_mass)
+    _require_zero_sum(values)
     return 0.5 * float(np.abs(values).sum())
 
 

@@ -29,12 +29,7 @@ from .errors import (
     NotBipartiteError,
 )
 from .graphs import Graph, load_graph_file
-
-DEFAULT_TOL_MASS = 1e-9
-
-# Lazinesses within this of 0 or 1 are snapped to exactly 0 or 1 by Guvab, and
-# knife-edge comparisons (alpha = beta, beta = 1/2, ...) use the same width.
-PARAM_TOL = 1e-12
+from .tolerances import MASS_TOL, PARAM_TOL
 
 PROBABILITY = "probability"
 SIGNED = "signed"
@@ -45,7 +40,7 @@ class Distribution:
     """Real-valued vector over vertices, tagged probability or signed.
 
     Probability distributions are nonnegative and sum to 1; signed
-    distributions sum to 0.  Both checks use a mass tolerance.  Every value
+    distributions sum to 0, both within ``MASS_TOL``.  Every value
     must be finite, whatever the kind.
     """
 
@@ -67,20 +62,20 @@ class Distribution:
         return signed_distribution(-self.values)
 
 
-def probability_distribution(values, tol_mass: float = DEFAULT_TOL_MASS) -> Distribution:
+def probability_distribution(values) -> Distribution:
     v = np.asarray(values, dtype=float)
-    if v.min(initial=0.0) < -tol_mass:
+    if v.min(initial=0.0) < -MASS_TOL:
         raise InvalidDistributionError("probability distribution has negative mass")
-    if abs(v.sum() - 1.0) > tol_mass:
+    if abs(v.sum() - 1.0) > MASS_TOL:
         raise InvalidDistributionError(
             f"probability mass sums to {v.sum()!r}, expected 1"
         )
     return Distribution(values=v, kind=PROBABILITY)
 
 
-def signed_distribution(values, tol_mass: float = DEFAULT_TOL_MASS) -> Distribution:
+def signed_distribution(values) -> Distribution:
     v = np.asarray(values, dtype=float)
-    if abs(v.sum()) > tol_mass:
+    if abs(v.sum()) > MASS_TOL:
         raise InvalidDistributionError(f"signed mass sums to {v.sum()!r}, expected 0")
     return Distribution(values=v, kind=SIGNED)
 
@@ -300,23 +295,26 @@ def two_state_closed_form(laziness: float, k: int) -> TwoStateDist:
 
 # -- walk-pair config files -------------------------------------------------------
 #
-# JSON object with keys: graph (path to a graph text file), u, v, alpha, beta;
-# optional tol_mass and tol_gap.
+# JSON object with exactly the keys graph (path to a graph text file), u, v,
+# alpha and beta.
 
-def load_guvab_config(path) -> tuple[Guvab, dict]:
-    """Load a walk-pair config file; returns (Guvab, tolerance overrides)."""
+_CONFIG_KEYS = ("graph", "u", "v", "alpha", "beta")
+
+
+def load_guvab_config(path) -> Guvab:
+    """Load a walk-pair config file; a missing or unknown key raises KeyError."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    missing = [key for key in ("graph", "u", "v", "alpha", "beta") if key not in raw]
+    missing = [key for key in _CONFIG_KEYS if key not in raw]
     if missing:
         raise KeyError(f"config missing keys: {', '.join(missing)}")
-    graph = load_graph_file(raw["graph"])
-    guvab = Guvab(
-        graph=graph,
+    unknown = sorted(key for key in raw if key not in _CONFIG_KEYS)
+    if unknown:
+        raise KeyError(f"config has unknown keys: {', '.join(unknown)}")
+    return Guvab(
+        graph=load_graph_file(raw["graph"]),
         u=int(raw["u"]),
         v=int(raw["v"]),
         alpha=float(raw["alpha"]),
         beta=float(raw["beta"]),
     )
-    tols = {key: float(raw[key]) for key in ("tol_mass", "tol_gap") if key in raw}
-    return guvab, tols

@@ -96,6 +96,18 @@ def test_classify_from_config(tmp_path, c4_file, capsys):
     assert json.loads(out)["category"] == "W_HALF"
 
 
+@pytest.mark.parametrize("key", ["tol_gap", "tol_mass", "colour"])
+def test_config_rejects_unknown_key(key, tmp_path, c4_file, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"graph": c4_file, "u": 0, "v": 1, "alpha": 0.0, "beta": 0.3, key: 1e-10}
+    ))
+    code, out, err = run_cli(["classify", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert key in err
+
+
 @pytest.mark.parametrize("command", ["classify", "tree-transport"])
 def test_json_only_commands_reject_csv_format(command, c4_file, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -132,6 +144,13 @@ def test_seed_flag_is_gone(argv, c4_file, capsys):
         ["distance", "--mu", "mu.csv", "--nu", "nu.csv", "--tol-gap", "1e-9"],
         ["sweep", "--nmax", "2", "--tol-mass", "1e-9"],
         ["sweep", "--nmax", "2", "--format", "csv"],
+        ["classify", "--u", "0", "--v", "1", "--alpha", "0", "--beta", "0", "--tol-gap", "1e-9"],
+        ["trace", "--u", "0", "--v", "1", "--alpha", "0", "--beta", "0", "--tol-gap", "1e-9"],
+        ["sweep", "--nmax", "2", "--tol-gap", "1e-9"],
+        ["tree-transport", "--u", "0", "--v", "1", "--alpha", "0", "--beta", "0",
+         "--tol-mass", "1e-9"],
+        ["distance", "--mu", "mu.csv", "--nu", "nu.csv", "--tol-mass", "1e-9"],
+        ["sweep", "--nmax", "2", "--kmax", "400"],
     ],
 )
 def test_unread_flags_are_gone(argv, c4_file, capsys):
@@ -141,6 +160,22 @@ def test_unread_flags_are_gone(argv, c4_file, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["trace", "--format", "json"]])
+def test_oscillating_pair_reports_json(argv, tmp_path, capsys):
+    # frozen target on the path 0-1: W_k alternates 1, 0, 1, ... and never converges
+    p2 = tmp_path / "p2.txt"
+    p2.write_text(graph_to_text(path_graph(2)))
+    code, out, _ = run_cli(
+        argv + ["--graph", str(p2), "--u", "0", "--v", "1", "--alpha", "0", "--beta", "1"],
+        capsys,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    report = payload.get("report", payload)
+    assert report["converges"] is False
+    assert (report["limit_even"], report["limit_odd"]) == (1.0, 0.0)
 
 
 # -- trace ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from walkdist.transport import _decompose_flows
 from walkdist import (
@@ -186,6 +188,56 @@ def test_oracle_agrees_with_solver_quick():
             assert abs(
                 wasserstein(xi, g).value - wasserstein_oracle(xi, g)
             ) <= 1e-9
+
+
+# -- HiGHS oracle ----------------------------------------------------------------------
+
+def _highs_value(graph, xi: np.ndarray) -> float:
+    """Min-cost flow of supplies xi over unit-cost arcs, solved by scipy's HiGHS LP."""
+    edges = np.array(graph.edges)
+    m = len(edges)
+    heads = np.concatenate([edges[:, 0], edges[:, 1]])
+    tails = np.concatenate([edges[:, 1], edges[:, 0]])
+    arcs = np.arange(2 * m)
+    a_eq = sparse.csr_matrix(
+        (np.concatenate([np.ones(2 * m), -np.ones(2 * m)]),
+         (np.concatenate([heads, tails]), np.concatenate([arcs, arcs]))),
+        shape=(graph.n, 2 * m),
+    )
+    res = linprog(
+        np.ones(2 * m), A_eq=a_eq, b_eq=xi, bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+@st.composite
+def _graph_and_masses(draw):
+    """A connected graph on at most 60 vertices (a random tree plus chords) and
+    two distributions whose masses span 10^-13 to 1 before normalisation."""
+    n = draw(st.integers(2, 60))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    exponents = st.lists(st.floats(-13, 0), min_size=n, max_size=n)
+    mu, nu = (10.0 ** np.array(draw(exponents)) for _ in range(2))
+    return build_graph(sorted(edges), n), mu / mu.sum(), nu / nu.sum()
+
+
+@given(case=_graph_and_masses())
+@settings(max_examples=150, deadline=None)
+def test_wasserstein_certified_and_matches_highs(case):
+    g, mu, nu = case
+    xi = signed_distribution(mu - nu)
+    res = wasserstein(xi, g)
+    assert np.abs(res.plan.row_marginals(g.n) - np.maximum(xi.values, 0)).max() <= 1e-9
+    assert np.abs(res.plan.column_marginals(g.n) - np.maximum(-xi.values, 0)).max() <= 1e-9
+    assert abs(cost_of_plan(res.plan, g.metric) - res.value) <= 1e-9
+    assert abs(dual_value(res.potential, xi, g) - res.value) <= 1e-9
+    assert abs(_highs_value(g, xi.values) - res.value) <= 1e-9
 
 
 # -- metric axioms of W ----------------------------------------------------------------

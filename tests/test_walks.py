@@ -263,13 +263,12 @@ def test_guvab_config_round_trip(tmp_path, c4):
     cfg = tmp_path / "run.json"
     cfg.write_text(
         json.dumps(
-            {"graph": str(gpath), "u": 0, "v": 1, "alpha": 0.0, "beta": 0.5, "tol_gap": 1e-10}
+            {"graph": str(gpath), "u": 0, "v": 1, "alpha": 0.0, "beta": 0.5}
         )
     )
-    guvab, tols = load_guvab_config(cfg)
+    guvab = load_guvab_config(cfg)
     assert (guvab.u, guvab.v, guvab.alpha, guvab.beta) == (0, 1, 0.0, 0.5)
     assert guvab.graph.edges == c4.edges
-    assert tols == {"tol_gap": 1e-10}
 
 
 def test_guvab_config_missing_key(tmp_path, c4):
