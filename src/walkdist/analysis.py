@@ -38,7 +38,7 @@ from .graphs import Graph
 from .tolerances import (
     PARAM_TOL, RATE_FLOOR, RATE_WINDOW_HIGH, RATE_WINDOW_LOW, UNIT_MODULUS_TOL, W_TOL
 )
-from .transport import _flow_value
+from .transport import _series_flow_values
 from .walks import Guvab, pair_states, point_mass, stationary_pi, transition_matrix
 
 RHO_CONFIRM_K = 50  # steps W_k must stay at 1 past the onset rho_bounds reports
@@ -357,7 +357,7 @@ def wk_series(guvab: Guvab, k_max: int) -> list[tuple[int, float]]:
         point_mass(graph.n, guvab.u).values,
         point_mass(graph.n, guvab.v).values,
     )
-    ws = (_flow_value(graph, mu - nu) for mu, nu in islice(states, k_max + 1))
+    ws = _series_flow_values(graph, (mu - nu for mu, nu in islice(states, k_max + 1)))
     return list(enumerate(ws))
 
 
@@ -380,7 +380,9 @@ def one_step_constancy_check(guvab: Guvab, k_max: int = 40) -> bool:
         point_mass(graph.n, guvab.u).values,
         point_mass(graph.n, guvab.v).values,
     )
-    ws = (_flow_value(graph, mu - nu) for mu, nu in islice(states, 1, max(k_max, 1) + 1))
+    ws = _series_flow_values(
+        graph, (mu - nu for mu, nu in islice(states, 1, max(k_max, 1) + 1))
+    )
     w1 = next(ws)
     return all(abs(w - w1) <= W_TOL for w in ws)
 

@@ -72,6 +72,19 @@ class Graph:
         """Read-only (count, n) matrix of :func:`integer_lipschitz_functions`."""
         return integer_lipschitz_functions(self)
 
+    @cached_property
+    def arcs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``arcs[a]`` pairs each neighbor b of a with the id of the arc a -> b.
+
+        Edge ``edges[e]`` gives arc ``2e`` from its smaller end and arc
+        ``2e + 1`` back, so ``id ^ 1`` is the opposite arc.
+        """
+        index = {edge: 2 * e for e, edge in enumerate(self.edges)}
+        return tuple(
+            tuple((b, index[(a, b)] if a < b else index[(b, a)] + 1) for b in ns)
+            for a, ns in enumerate(self.adjacency)
+        )
+
     def __repr__(self) -> str:  # compact, deterministic
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 

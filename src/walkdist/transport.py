@@ -6,13 +6,26 @@ IS the path metric, the transportation problem is equivalent to a min-cost
 flow on the graph itself: every undirected edge becomes two unit-cost arcs of
 unbounded capacity, and the signed distribution xi provides the supplies.
 
-The solver is successive shortest paths with node potentials.  Real-valued
-supplies are fine: each augmentation zeroes the residual imbalance of its
-source or target, or saturates a flow-cancelling residual arc, and the
-shortest-path rule keeps the run short.  The final node potentials give a
-1-Lipschitz dual certificate with zero duality gap up to floating point, and
-the optimal arc flows decompose into a sparse source-to-target plan whose
-paths are all geodesics.
+The solver is primal-dual (Ahuja, Magnanti & Orlin, *Network Flows*, ch. 9).
+Integer node potentials keep every residual arc's reduced cost nonnegative.
+A phase runs one Dijkstra from all sources at once and raises the potentials
+so the shortest paths to the nearest sink cost 0; blocking flows (BFS levels,
+then depth-first search with current-arc pointers, as in Dinic's max-flow)
+then route all they can along zero-reduced-cost arcs before the next phase.
+With costs of +-1 there are about as many phases as the graph's diameter
+(Essid & Solomon, SIAM J. Sci. Comput. 2018), not one shortest-path search
+per augmentation.  Real-valued supplies are fine: each augmentation empties
+a source, fills a sink or cancels an arc's flow exactly.
+
+A solve may start from any integer potential that steps by at most 1 across
+each edge, and the final potential of every solve is one.  Along a W_k
+series the potential of the solve two steps back is nearly optimal already,
+since each parity subsequence converges, so a series solve
+(``_series_flow_values``) mostly skips straight to its blocking flows.
+
+The final potentials give a 1-Lipschitz dual certificate with zero duality
+gap up to floating point, and the optimal arc flows, which are acyclic,
+decompose into a sparse source-to-target plan whose paths are all geodesics.
 
 An independent brute-force oracle maximizes the dual objective over every
 integer-valued vertex function that changes by at most 1 across each edge.
@@ -24,7 +37,6 @@ oracle shares no code with the flow solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -88,87 +100,177 @@ def _require_zero_sum(values: np.ndarray) -> None:
 def _flow_value(graph: Graph, supply: np.ndarray) -> float:
     """Optimal transport value only (no plan or dual extraction)."""
     flows, _ = _min_cost_flow(graph, supply)
-    return float(sum(abs(f) for f in flows.values()))
+    return float(sum(map(abs, flows)))
 
 
-def _min_cost_flow(graph: Graph, supply: np.ndarray):
-    """Successive shortest paths; returns (net edge flows, node potentials).
+def _series_flow_values(graph: Graph, supplies):
+    """Optimal values of a series of supplies on one graph, solved in order.
 
-    Flows are keyed by the ordered edge (a, b) with a < b; positive means
-    a -> b.  Every edge offers a unit-cost arc each way plus, when it already
-    carries flow, a cost -1 cancel arc capped by the flow it undoes; each
-    augmentation therefore zeroes its source's or target's imbalance or
-    saturates a cancel arc.  Dijkstra runs on reduced costs with (cost, hops)
-    keys, so zero-cost phases use fewest-hop paths and the run is bounded.
-    Potentials stay integer-valued because all arc costs are +-1, making the
-    dual certificate exact up to the float sums in the objective.
+    Each solve starts from the final potential of the solve two steps back:
+    along a converging W_k series xi_k is close to xi_{k-2}, while one step
+    back can sit on the other side of a bipartite graph when alpha = 0.
+    """
+    starts = [None, None]
+    for i, supply in enumerate(supplies):
+        flows, starts[i % 2] = _min_cost_flow(graph, supply, starts[i % 2])
+        yield float(sum(map(abs, flows)))
+
+
+def _min_cost_flow(graph: Graph, supply: np.ndarray, start=None):
+    """Primal-dual min-cost flow; returns (net edge flows, node potentials).
+
+    ``flows[e]`` is the net flow on ``graph.edges[e] = (a, b)``, positive
+    when it moves a -> b.  Every edge offers a unit-cost arc each way and,
+    against flow above ``DUST``, a cost -1 arc capped by the flow it cancels.
+    Reduced costs ``cost + pot[a] - pot[b]`` stay nonnegative throughout, so
+    every arc carrying flow is tight and the flow stays acyclic.
+
+    Each phase runs one Dijkstra on reduced costs from every source (balance
+    above ``DUST``), stopped at the nearest sink (balance below ``-DUST``) at
+    distance D, and raises each potential by its distance capped at D.
+    Blocking flows then route supply along zero-reduced-cost arcs until the
+    sources are empty or cut off from the sinks; only then does the next
+    phase run.  Costs are +-1, so potentials stay integers and "reduced cost
+    0" is an exact test.  The run stops when no source is left or no sink
+    can be reached.
+
+    ``start`` is an integer potential that steps by at most 1 across every
+    edge (default all 0): with no flow yet every arc costs +1, so these are
+    exactly the potentials that keep every reduced cost nonnegative.  The
+    final potential of any solve qualifies, since both arcs of every edge
+    have nonnegative reduced cost when it returns.
     """
     n = graph.n
-    adjacency = graph.adjacency
-    balance = [float(x) for x in supply]
-    pot = [0.0] * n
-    flow: dict[tuple[int, int], float] = {}
-    inf = float("inf")
+    arcs = graph.arcs
+    balance = np.asarray(supply, dtype=float).tolist()
+    pot = [0] * n if start is None else [int(p) for p in start]
+    flow = [0.0] * (2 * graph.edge_count)  # by arc id; flow[2e + 1] == -flow[2e]
+    sources = [v for v in range(n) if balance[v] > DUST]
+    new_phase = True
+    for _ in range(10 * n * n + 100):
+        if not sources:
+            return flow[0::2], pot
+        if new_phase:
+            dist, reach = _nearest_sink(arcs, flow, balance, pot, sources)
+            if reach < 0:
+                return flow[0::2], pot
+            if reach:
+                pot = [p + (d if d < reach else reach) for p, d in zip(pot, dist)]
+        new_phase = not _blocking_flow(arcs, flow, balance, pot, sources)
+        sources = [v for v in sources if balance[v] > DUST]
+    raise RuntimeError("min-cost flow failed to settle supplies")  # pragma: no cover
 
-    def signed_flow(a: int, b: int) -> float:
-        """Net flow currently moving a -> b (negative if it moves b -> a)."""
-        return flow.get((a, b), 0.0) if a < b else -flow.get((b, a), 0.0)
 
-    guard = 10 * n * n * (graph.edge_count + 1) + 100
-    for _ in range(guard):
-        src = next((i for i in range(n) if balance[i] > DUST), -1)
-        if src < 0:
-            return flow, pot
-        dist = [(inf, 0)] * n
-        prev = [-1] * n
-        dist[src] = (0.0, 0)
-        heap: list[tuple[float, int, int]] = [(0.0, 0, src)]
-        done = [False] * n
-        while heap:
-            d, hops, a = heappop(heap)
-            if done[a]:
-                continue
-            done[a] = True
-            for b in adjacency[a]:
-                if done[b]:
-                    continue
-                # moving a -> b cancels opposing flow at cost -1, else costs 1
-                cost = -1.0 if signed_flow(b, a) > DUST else 1.0
-                nd = (d + cost + pot[a] - pot[b], hops + 1)
+def _nearest_sink(arcs, flow, balance, pot, sources):
+    """Dijkstra on reduced costs from every source, stopped at the nearest
+    sink; returns (distances, that sink's distance, or -1 if none is reached).
+
+    Reduced costs are 0, 1 or 2, so a list of buckets serves as the queue.
+    Every vertex closer than the sink is settled when the search stops, and
+    the others hold a distance at least the sink's.
+    """
+    far = 3 * len(pot)  # beyond any reduced distance
+    dist = [far] * len(pot)
+    for s in sources:
+        dist[s] = 0
+    buckets = [list(sources)]
+    d = 0
+    while d < len(buckets):
+        for a in buckets[d]:
+            if dist[a] != d:
+                continue  # settled earlier at a smaller distance
+            if balance[a] < -DUST:
+                return dist, d
+            base = d + 1 + pot[a]
+            for b, arc in arcs[a]:
+                # an arc cancelling flow is tight: its reduced cost is 0
+                nd = d if flow[arc] < -DUST else base - pot[b]
                 if nd < dist[b]:
                     dist[b] = nd
-                    prev[b] = a
-                    heappush(heap, (nd[0], nd[1], b))
-        tgt = -1
-        best = (inf, 0)
-        for i in range(n):
-            if balance[i] < -DUST and dist[i] < best:
-                best = dist[i]
-                tgt = i
-        if tgt < 0:
-            return flow, pot
-        best_cost = best[0]
-        for i in range(n):
-            pot[i] += dist[i][0] if dist[i][0] < best_cost else best_cost
-        # bottleneck: supplies and any cancel arcs along the path
-        amount = min(balance[src], -balance[tgt])
-        v = tgt
-        while v != src:
-            a = prev[v]
-            opposing = signed_flow(v, a)
-            if opposing > DUST:
-                amount = min(amount, opposing)
-            v = a
-        v = tgt
-        while v != src:
-            a = prev[v]
-            key = (a, v) if a < v else (v, a)
-            delta = amount if a < v else -amount
-            flow[key] = flow.get(key, 0.0) + delta
-            v = a
-        balance[src] -= amount
-        balance[tgt] += amount
-    raise RuntimeError("min-cost flow failed to settle supplies")  # pragma: no cover
+                    while len(buckets) <= nd:
+                        buckets.append([])
+                    buckets[nd].append(b)
+        d += 1
+    return dist, -1
+
+
+def _blocking_flow(arcs, flow, balance, pot, sources) -> bool:
+    """Route supply along zero-reduced-cost arcs until every such path from
+    a source to a sink in the BFS level graph is cut (Dinic); returns False
+    when the level graph reaches no sink.
+
+    An arc is admissible when it cancels flow (such arcs are tight) or
+    raises the potential by exactly 1.  Each augmentation empties a source,
+    fills a sink or cancels an arc's flow, each exactly, so pushing a
+    rounded amount leaves no residue behind.
+    """
+    level = [-1] * len(pot)
+    for s in sources:
+        level[s] = 0
+    queue = list(sources)
+    reached = False
+    for a in queue:
+        up = pot[a] + 1
+        next_level = level[a] + 1
+        for b, arc in arcs[a]:
+            if level[b] < 0 and (flow[arc] < -DUST or pot[b] == up):
+                level[b] = next_level
+                queue.append(b)
+                reached = reached or balance[b] < -DUST
+    if not reached:
+        return False
+    ptr = [0] * len(pot)  # current arc of each vertex
+    for src in sources:
+        while balance[src] > DUST:
+            found = _level_path(arcs, flow, balance, pot, level, ptr, src)
+            if found is None:
+                break
+            sink, used = found
+            amount = min(balance[src], -balance[sink])
+            for arc in used:
+                if flow[arc] < -DUST and -flow[arc] < amount:
+                    amount = -flow[arc]
+            for arc in used:
+                flow[arc] += amount
+                flow[arc ^ 1] -= amount
+            balance[src] -= amount
+            balance[sink] += amount
+    return True
+
+
+def _level_path(arcs, flow, balance, pot, level, ptr, src):
+    """Depth-first search from src along admissible arcs that go one level
+    deeper, to the first sink; returns (sink, arc ids) or None.
+
+    Vertices found to be dead ends leave the level graph, and ``ptr`` keeps
+    each vertex's scan position across the searches of one blocking flow.
+    """
+    path = [src]
+    used: list[int] = []
+    v = src
+    while balance[v] >= -DUST:
+        out = arcs[v]
+        i = ptr[v]
+        up = pot[v] + 1
+        deeper = level[v] + 1
+        while i < len(out):
+            b, arc = out[i]
+            if level[b] == deeper and (flow[arc] < -DUST or pot[b] == up):
+                break
+            i += 1
+        ptr[v] = i
+        if i < len(out):
+            path.append(b)
+            used.append(arc)
+            v = b
+            continue
+        level[v] = -1
+        if v == src:
+            return None
+        path.pop()
+        used.pop()
+        v = path[-1]
+    return v, used
 
 
 def _decompose_flows(n: int, arc_flows: dict[tuple[int, int], float]) -> TransportPlan:
@@ -251,8 +353,8 @@ def wasserstein(xi: Distribution, graph: Graph) -> TransportResult:
             potential=DualPotential(ell=np.zeros(n)),
         )
     flows, pot = _min_cost_flow(graph, values)
-    value = float(sum(abs(f) for f in flows.values()))
-    plan = _decompose_flows(n, flows)
+    value = float(sum(map(abs, flows)))
+    plan = _decompose_flows(n, dict(zip(graph.edges, flows)))
     ell = -np.array(pot)
     anchor = int(np.argmax(values))
     ell -= ell[anchor]
@@ -336,13 +438,17 @@ def potential_to_csv(potential: DualPotential) -> str:
 
 
 def distribution_from_csv(text: str, n: int) -> Distribution:
-    """Parse 'vertex,mass' CSV rows (header optional) into a Distribution.
+    """Parse 'vertex,mass' CSV rows into a Distribution.
+
+    Blank lines and lines starting with ``#`` are skipped; the first other
+    line may be a header.
 
     Any real masses are accepted; the result is tagged signed when the total
     is (numerically) zero and probability otherwise.  Mass-balance
     preconditions are enforced by the transport operations, not here.
     """
     values = np.zeros(n)
+    first = True
     for line_no, line in enumerate(text.splitlines()):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -350,8 +456,10 @@ def distribution_from_csv(text: str, n: int) -> Distribution:
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"line {line_no + 1}: expected 'vertex,mass', got {line!r}")
-        if line_no == 0 and not parts[0].strip().lstrip("-").isdigit():
-            continue  # header row
+        if first:
+            first = False
+            if not parts[0].strip().lstrip("-").isdigit():
+                continue  # header row
         vtx = int(parts[0])
         if not 0 <= vtx < n:
             raise ValueError(f"line {line_no + 1}: vertex {vtx} outside 0..{n - 1}")

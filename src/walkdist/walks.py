@@ -302,15 +302,30 @@ _CONFIG_KEYS = ("graph", "u", "v", "alpha", "beta")
 
 
 def load_guvab_config(path) -> Guvab:
-    """Load a walk-pair config file; a missing or unknown key raises KeyError."""
+    """Load a walk-pair config file.
+
+    A missing or unknown key raises KeyError.  A top level that is not an
+    object, a graph path that is not a string, a u or v that is not a JSON
+    integer, or an alpha or beta that is not a JSON number raises ValueError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     missing = [key for key in _CONFIG_KEYS if key not in raw]
     if missing:
         raise KeyError(f"config missing keys: {', '.join(missing)}")
     unknown = sorted(key for key in raw if key not in _CONFIG_KEYS)
     if unknown:
         raise KeyError(f"config has unknown keys: {', '.join(unknown)}")
+    if not isinstance(raw["graph"], str):
+        raise ValueError(f"config graph must be a file path, got {raw['graph']!r}")
+    for key in ("u", "v"):
+        if isinstance(raw[key], bool) or not isinstance(raw[key], int):
+            raise ValueError(f"config {key} must be an integer, got {raw[key]!r}")
+    for key in ("alpha", "beta"):
+        if isinstance(raw[key], bool) or not isinstance(raw[key], (int, float)):
+            raise ValueError(f"config {key} must be a number, got {raw[key]!r}")
     return Guvab(
         graph=load_graph_file(raw["graph"]),
         u=int(raw["u"]),

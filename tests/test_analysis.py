@@ -1,5 +1,7 @@
 """Classification, constancy, spectra, constancy-onset bounds, rate fits."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,10 @@ from walkdist import (
     cycle_graph,
     detect_gluvab,
     divergence_sum,
+    enumerate_connected_graphs,
     fit_rate,
     one_step_constancy_check,
+    pair_states,
     path_graph,
     predict_constancy,
     rate_fit_window,
@@ -29,6 +33,7 @@ from walkdist import (
     wk_series,
     xi_k,
 )
+from walkdist.transport import corner_values
 
 
 # -- classify ---------------------------------------------------------------------
@@ -306,6 +311,20 @@ def test_wk_series_starts_at_distance(c6):
     metric = all_pairs_distances(c6)
     series = wk_series(Guvab(c6, 0, 3, 0.2, 0.7), 0)
     assert series == [(0, pytest.approx(float(metric.d(0, 3))))]
+
+
+def test_wk_series_matches_corner_maximum():
+    # each warm-started solve of the series equals the brute-force dual maximum
+    for g in enumerate_connected_graphs(5):
+        u, v = 0, g.n - 1
+        for alpha, beta in ((0.0, 0.5), (1 / 3, 1.0), (0.0, 0.0), (0.25, 0.75)):
+            states = pair_states(
+                transition_matrix(g, alpha).entries, transition_matrix(g, beta).entries,
+                np.eye(g.n)[u], np.eye(g.n)[v],
+            )
+            xis = np.array([mu - nu for mu, nu in islice(states, 31)])
+            series = [w for _, w in wk_series(Guvab(g, u, v, alpha, beta), 30)]
+            assert np.abs(np.array(series) - corner_values(xis, g.corners)).max() <= 1e-12
 
 
 def test_wk_series_w_half_closed_form(c4):

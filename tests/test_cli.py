@@ -108,6 +108,22 @@ def test_config_rejects_unknown_key(key, tmp_path, c4_file, capsys):
     assert key in err
 
 
+@pytest.mark.parametrize(
+    "raw",
+    ["7", '{"graph": "GRAPH", "u": null, "v": 1, "alpha": 0.0, "beta": 0.3}',
+     '{"graph": "GRAPH", "u": 1.7, "v": 0, "alpha": 0.0, "beta": 0.3}',
+     '{"graph": null, "u": 0, "v": 1, "alpha": 0.0, "beta": 0.3}'],
+    ids=["top-level-number", "null-u", "fractional-u", "null-graph"],
+)
+def test_config_rejects_malformed_values(raw, tmp_path, c4_file, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(raw.replace("GRAPH", c4_file))
+    code, out, err = run_cli(["classify", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "config" in err
+
+
 @pytest.mark.parametrize("command", ["classify", "tree-transport"])
 def test_json_only_commands_reject_csv_format(command, c4_file, capsys):
     with pytest.raises(SystemExit) as exc:

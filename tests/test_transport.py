@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from walkdist.transport import _decompose_flows
+from walkdist.tolerances import DUST
+from walkdist.transport import _decompose_flows, _min_cost_flow
 from walkdist import (
     Distribution,
     DualPotential,
@@ -125,6 +126,38 @@ def test_decomposition_drops_dust_residue_at_dead_end():
     assert np.abs(marginals - divergence).max() <= 2e-13
 
 
+def _assert_warm_start_agrees(g, xi, start, tol=1e-12):
+    """A solve started from the potential start is certified by its plan and
+    dual (edge steps checked by dual_value) and equals the cold solve."""
+    flows, pot = _min_cost_flow(g, xi.values, start)
+    value = float(sum(map(abs, flows)))
+    plan = _decompose_flows(g.n, dict(zip(g.edges, flows)))
+    assert np.abs(plan.row_marginals(g.n) - np.maximum(xi.values, 0)).max() <= 1e-9
+    assert np.abs(plan.column_marginals(g.n) - np.maximum(-xi.values, 0)).max() <= 1e-9
+    assert abs(cost_of_plan(plan, g.metric) - value) <= 1e-9
+    ell = -np.array(pot, dtype=float)
+    assert abs(dual_value(DualPotential(ell=ell), xi, g) - value) <= 1e-9
+    assert abs(value - wasserstein(xi, g).value) <= tol
+
+
+def test_any_lipschitz_start_gives_the_cold_value():
+    rng = np.random.default_rng(13)
+    for g in enumerate_connected_graphs(4):
+        for _ in range(3):
+            xi = _random_signed(rng, g.n)
+            for corner in g.corners:
+                _assert_warm_start_agrees(g, xi, -corner)
+
+
+@pytest.mark.parametrize(
+    "values", [[0.5 + 5e-10, 0, 0, 0, 0, -0.5], [0.5, 0, 0, 0, 0, -0.5 - 5e-10]]
+)
+def test_imbalance_within_mass_tol_is_left_unrouted(values):
+    res = wasserstein(signed_distribution(values), path_graph(6))
+    assert res.value == 2.5
+    assert res.plan.moves == ((0, 5, 0.5),)
+
+
 # -- plan and dual -----------------------------------------------------------------
 
 def test_cost_of_plan_examples(c4):
@@ -193,7 +226,17 @@ def test_oracle_agrees_with_solver_quick():
 # -- HiGHS oracle ----------------------------------------------------------------------
 
 def _highs_value(graph, xi: np.ndarray) -> float:
-    """Min-cost flow of supplies xi over unit-cost arcs, solved by scipy's HiGHS LP."""
+    """Min-cost flow of supplies xi over unit-cost arcs, solved by scipy's HiGHS LP.
+
+    HiGHS's feasibility tolerances are absolute, so it may leave supplies
+    below 1e-10 unrouted: it solves xi scaled to unit positive mass (and
+    re-zeroed, since the scaled sum may drift), and the value is scaled back.
+    """
+    scale = float(np.maximum(xi, 0.0).sum())
+    if scale == 0.0:
+        return 0.0
+    unit = xi / scale
+    unit -= unit.mean()
     edges = np.array(graph.edges)
     m = len(edges)
     heads = np.concatenate([edges[:, 0], edges[:, 1]])
@@ -205,11 +248,11 @@ def _highs_value(graph, xi: np.ndarray) -> float:
         shape=(graph.n, 2 * m),
     )
     res = linprog(
-        np.ones(2 * m), A_eq=a_eq, b_eq=xi, bounds=(0, None), method="highs",
+        np.ones(2 * m), A_eq=a_eq, b_eq=unit, bounds=(0, None), method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     assert res.status == 0, res.message
-    return float(res.fun)
+    return float(res.fun) * scale
 
 
 @st.composite
@@ -227,7 +270,17 @@ def _graph_and_masses(draw):
     return build_graph(sorted(edges), n), mu / mu.sum(), nu / nu.sum()
 
 
+def _star_with_dust_sources():
+    """The star K1,31 with 9.37e-11 more mass on each of vertices 0..30 under
+    mu than under nu, all owed to the leaf 31: W = 9.37e-11 * (1 + 30 * 2)."""
+    xi = np.full(32, 9.37e-11)
+    xi[31] = -31 * 9.37e-11
+    mu = np.full(32, 1 / 32)
+    return build_graph([(0, i) for i in range(1, 32)], 32), mu, mu - xi
+
+
 @given(case=_graph_and_masses())
+@example(case=_star_with_dust_sources())
 @settings(max_examples=150, deadline=None)
 def test_wasserstein_certified_and_matches_highs(case):
     g, mu, nu = case
@@ -238,6 +291,19 @@ def test_wasserstein_certified_and_matches_highs(case):
     assert abs(cost_of_plan(res.plan, g.metric) - res.value) <= 1e-9
     assert abs(dual_value(res.potential, xi, g) - res.value) <= 1e-9
     assert abs(_highs_value(g, xi.values) - res.value) <= 1e-9
+
+
+@given(case=_graph_and_masses(), root=st.integers(0, 59))
+@settings(max_examples=100, deadline=None)
+def test_warm_start_from_distances_gives_the_cold_value(case, root):
+    g, mu, nu = case
+    # Each solve may leave up to DUST unrouted at any vertex, and which dust
+    # is left depends on the route taken, so the two values may differ by
+    # that much mass moved across the graph.
+    dust_budget = 2 * g.n * DUST * g.metric.dist.max()
+    _assert_warm_start_agrees(
+        g, signed_distribution(mu - nu), g.metric.dist[root % g.n], 1e-12 + dust_budget
+    )
 
 
 # -- metric axioms of W ----------------------------------------------------------------
@@ -315,3 +381,10 @@ def test_distribution_from_csv(p4):
     assert d.kind == "probability"
     with pytest.raises(ValueError):
         distribution_from_csv("0,0.5\n9,0.5\n", 4)
+
+
+def test_distribution_from_csv_header_after_comment():
+    d = distribution_from_csv("# mu\n\nvertex,mass\n0,1\n", 2)
+    assert np.array_equal(d.values, [1.0, 0.0])
+    with pytest.raises(ValueError):  # only the first row may be a header
+        distribution_from_csv("# mu\n0,1\nvertex,mass\n", 2)
