@@ -18,6 +18,8 @@ from .analysis import (
     divergence_sum,
     fit_rate,
     one_step_constancy_check,
+    parity_asymptotics,
+    parity_expansion,
     predict_constancy,
     rate_fit_window,
     rho_bounds,

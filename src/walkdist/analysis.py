@@ -14,9 +14,12 @@ Every walk pair falls into exactly one of four limit categories:
               degree-distance sum at v is nonzero.
 
 All limits are computed in closed form; simulation is used only to
-cross-check.  Rate fitting recovers the per-step decay factor of
-|W_k - limit| on one parity class; whenever a clean fit exists the factor
-matches the modulus of an eigenvalue of one of the two transition matrices.
+cross-check.  The parity expansion writes every dual corner's objective
+along each parity of k as an exact sum of powers of squared eigenvalues of
+the two transition matrices, so the limits, the per-step decay rates (each
+an eigenvalue modulus) and eventual constancy can be read from it exactly.
+It needs the graph's corners, so it serves small graphs; on larger ones a
+least-squares fit of |W_k - limit| on one parity class estimates the rate.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .tolerances import (
     PARAM_TOL, RATE_FLOOR, RATE_WINDOW_HIGH, RATE_WINDOW_LOW, UNIT_MODULUS_TOL, W_TOL
 )
 from .transport import _series_flow_values
-from .walks import Guvab, pair_states, point_mass, stationary_pi, transition_matrix
+from .walks import Guvab, stationary_pi, transition_matrix, xi_series
 
 RHO_CONFIRM_K = 50  # steps W_k must stay at 1 past the onset rho_bounds reports
 RHO_MAX_K = 400  # last step rho_bounds computes
@@ -288,6 +291,15 @@ def detect_gluvab(guvab: Guvab) -> bool:
     return True
 
 
+def _normalized_adjacency(graph: Graph) -> np.ndarray:
+    """D^{-1/2} A D^{-1/2}: symmetric, and similar to the walk matrix D^{-1} A."""
+    deg = np.array(graph.degrees, dtype=float)
+    adj = np.zeros((graph.n, graph.n))
+    for a, b in graph.edges:
+        adj[a, b] = adj[b, a] = 1.0
+    return adj / np.sqrt(np.outer(deg, deg))
+
+
 def spectrum(graph: Graph, laziness: float) -> np.ndarray:
     """Eigenvalues of the lazy transition matrix, ascending.
 
@@ -298,13 +310,68 @@ def spectrum(graph: Graph, laziness: float) -> np.ndarray:
     if graph.n == 1:
         return np.array([1.0])
     transition_matrix(graph, laziness)  # validates laziness range
-    deg = np.array(graph.degrees, dtype=float)
-    adj = np.zeros((graph.n, graph.n))
-    for a, b in graph.edges:
-        adj[a, b] = adj[b, a] = 1.0
-    sym = adj / np.sqrt(np.outer(deg, deg))
-    base = np.linalg.eigvalsh(sym)
+    base = np.linalg.eigvalsh(_normalized_adjacency(graph))
     return np.sort(laziness + (1.0 - laziness) * base)
+
+
+def parity_expansion(graph: Graph, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact expansion of every corner's dual objective along each parity.
+
+    With D^{-1/2} A D^{-1/2} = Q diag(lam) Q^T, L = D^{-1/2} Q, R = D^{1/2} Q
+    and r = a + (1 - a) lam, a walk from u has mu_k = sum_i L[u, i] r_i^k R[:, i].
+    So for the alpha walk from u, the beta walk from v, the corners C
+    (``graph.corners``) and k = 2j + p,
+    ``<C[c], xi_k> = sum_g coef[p, u, v, g, c] * bases[g]**j``.  The bases are
+    both walks' squares r^2, descending from ``bases[0] = 1``; squares within
+    ``UNIT_MODULUS_TOL`` are one base, and a zero base is kept so that the
+    expansion also reproduces k = 0.
+    """
+    corners = graph.corners
+    if graph.n == 1:
+        return np.ones(1), np.zeros((2, 1, 1, 1, len(corners)))
+    lam, q = np.linalg.eigh(_normalized_adjacency(graph))
+    root = np.sqrt(np.array(graph.degrees, dtype=float))
+    laz = np.array([[alpha], [beta]])
+    r = laz + (1.0 - laz) * lam  # [walk, i]
+    squares = r.ravel() ** 2
+    bases: list[float] = []
+    group = np.empty(squares.size, dtype=int)
+    for i in np.argsort(-squares, kind="stable"):
+        if not bases or bases[-1] - squares[i] > UNIT_MODULUS_TOL:
+            bases.append(float(squares[i]))
+        group[i] = len(bases) - 1
+    bases[0] = 1.0
+    if bases[-1] <= UNIT_MODULUS_TOL:
+        bases[-1] = 0.0
+    onehot = np.eye(len(bases))[group].reshape(2, graph.n, len(bases))  # [walk, i, g]
+    walk = np.einsum(
+        "ui,pwi,wig,ci->wpugc", q / root[:, None], [np.ones_like(r), r], onehot,
+        corners @ (q * root[:, None]),
+    )
+    return np.array(bases), walk[0][:, :, None] - walk[1][:, None, :]
+
+
+def parity_asymptotics(bases: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Limit and per-step decay rate of W along each parity, indexed [p, u, v].
+
+    ``W_{2j+p} = max over corners of sum_g coef[p, u, v, g, c] * bases[g]**j``
+    is eventually the corner whose coefficient vector is lexicographically
+    largest, largest base first; its constant term is the parity limit, and
+    its first nonzero later term gives the rate sqrt(bases[g]).  Rate 0 means
+    no such term: the subsequence is eventually constant.  Ties and zeros
+    are decided at ``W_TOL``; zero bases only show at k = 0 and are skipped.
+    """
+    alive = np.ones(coef.shape[:3] + coef.shape[4:], dtype=bool)
+    rate = np.zeros(coef.shape[:3])
+    for g in np.flatnonzero(bases > 0.0):
+        terms = np.where(alive, coef[..., g, :], -np.inf)
+        top = terms.max(axis=-1)
+        if g == 0:
+            limit = top
+        else:
+            rate[(rate == 0.0) & (np.abs(top) > W_TOL)] = math.sqrt(bases[g])
+        alive &= terms >= top[..., None] - W_TOL
+    return limit, rate
 
 
 def spectral_data(guvab: Guvab) -> SpectralData:
@@ -350,14 +417,7 @@ def wk_series(guvab: Guvab, k_max: int) -> list[tuple[int, float]]:
     """Wasserstein distance between the two walks' distributions for k = 0..k_max."""
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
-    graph = guvab.graph
-    states = pair_states(
-        transition_matrix(graph, guvab.alpha).entries,
-        transition_matrix(graph, guvab.beta).entries,
-        point_mass(graph.n, guvab.u).values,
-        point_mass(graph.n, guvab.v).values,
-    )
-    ws = _series_flow_values(graph, (mu - nu for mu, nu in islice(states, k_max + 1)))
+    ws = _series_flow_values(guvab.graph, islice(xi_series(guvab), k_max + 1))
     return list(enumerate(ws))
 
 
@@ -373,16 +433,7 @@ def one_step_constancy_check(guvab: Guvab, k_max: int = 40) -> bool:
         raise WrongCategoryError(
             f"one-step constancy check needs W0 or BETA1, got {report.category.value}"
         )
-    graph = guvab.graph
-    states = pair_states(
-        transition_matrix(graph, guvab.alpha).entries,
-        transition_matrix(graph, guvab.beta).entries,
-        point_mass(graph.n, guvab.u).values,
-        point_mass(graph.n, guvab.v).values,
-    )
-    ws = _series_flow_values(
-        graph, (mu - nu for mu, nu in islice(states, 1, max(k_max, 1) + 1))
-    )
+    ws = _series_flow_values(guvab.graph, islice(xi_series(guvab), 1, max(k_max, 1) + 1))
     w1 = next(ws)
     return all(abs(w - w1) <= W_TOL for w in ws)
 

@@ -24,7 +24,6 @@ from itertools import islice
 import numpy as np
 
 from . import analysis, transport, tree_transport, walks
-from .analysis import Category
 from .errors import NoLaterNeighborError, WalkdistError
 from .graphs import (
     enumerate_connected_graphs,
@@ -32,9 +31,7 @@ from .graphs import (
     r_monotone_ordering,
     spanning_tree,
 )
-from .tolerances import (
-    CLASS_SIM_TOL, FIT_RESIDUAL_TOL, PARAM_TOL, RATE_MATCH_TOL, SETTLED_TOL, W_TOL
-)
+from .tolerances import W_TOL
 from .walks import Guvab, transition_matrix
 
 EXIT_OK = 0
@@ -43,12 +40,16 @@ EXIT_DISCREPANCY = 3
 EXIT_PRECONDITION = 4
 
 SWEEP_GRID = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0)  # default sweep lazinesses
-SWEEP_TABLE_K = 100  # last step of the W_k table each sweep row slices its series from
-SWEEP_LIMIT_K = 400  # sweep checks W at this even step and the next against the limits
+SWEEP_TABLE_K = 100  # last step of the stepped W_k table the parity expansion must reproduce
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _flag(verdict) -> str:
+    """CSV cell of a verdict: true, false, or empty when undecided."""
+    return "" if verdict is None else str(bool(verdict)).lower()
 
 
 def _round12(obj):
@@ -258,25 +259,24 @@ def _sweep_series(graph, p_a: np.ndarray, p_b: np.ndarray, k_max: int):
     return xi, transport.corner_values(xi, graph.corners)
 
 
-def _settled_prefix(ws: list[float], limits: tuple[float, float]):
-    """(k, W_k) up to the adaptive stop: past the constancy window and until
-    both parity errors die, or the whole table."""
-    series = [(0, ws[0])]
-    dead_run = 0
-    for k in range(1, len(ws)):
-        w = ws[k]
-        series.append((k, w))
-        dead_run = dead_run + 1 if abs(w - limits[k % 2]) < SETTLED_TOL else 0
-        if k > 41 and dead_run >= 2:
-            break
-    return series
+def _reproduces(bases: np.ndarray, coef: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """[u, v]: the parity expansion gives every W_k of ``table`` within ``W_TOL``."""
+    powers = bases ** np.arange(len(table[0::2]))[:, None]
+    ok = np.ones(table.shape[1:], dtype=bool)
+    for p in (0, 1):
+        steps = table[p::2]
+        values = np.tensordot(powers[: len(steps)], coef[p], axes=(1, 2)).max(axis=-1)
+        ok &= (np.abs(values - steps) <= W_TOL).all(axis=0)
+    return ok
 
 
 def run_sweep(n_max: int, grid: list[float]):
-    """Validate closed-form predictions against simulation on every labeled
-    connected graph up to n_max vertices.
+    """Validate closed-form predictions against the exact parity expansion on
+    every labeled connected graph up to n_max vertices.
 
-    Returns (csv text, discrepancy count, skipped alpha>beta pair count).
+    Each failed check of a row is a discrepancy, named on stderr with the
+    row's key.  Returns (csv text, discrepancy count, skipped alpha>beta pair
+    count).
     """
     values = sorted(set(grid))
     pairs = [(a, b) for a in values for b in values if a <= b]
@@ -290,103 +290,47 @@ def run_sweep(n_max: int, grid: list[float]):
     discrepancies = 0
     for graph in enumerate_connected_graphs(n_max):
         gid = ";".join(f"{a}-{b}" for a, b in graph.edges) or "none"
-        moduli_cache: dict[float, np.ndarray] = {}
-
-        def moduli(laziness: float) -> np.ndarray:
-            if laziness not in moduli_cache:
-                moduli_cache[laziness] = np.abs(analysis.spectrum(graph, laziness))
-            return moduli_cache[laziness]
-
         for a, b in pairs:
             p_a = transition_matrix(graph, a).entries
             p_b = transition_matrix(graph, b).entries
             xi, table = _sweep_series(graph, p_a, p_b, SWEEP_TABLE_K)
-            by_start = table.transpose(1, 2, 0).tolist()  # [u][v] -> W_0..W_SWEEP_TABLE_K
-            pow_a = np.linalg.matrix_power(p_a, SWEEP_LIMIT_K)
-            pow_b = np.linalg.matrix_power(p_b, SWEEP_LIMIT_K)
-            pow_a1 = pow_a @ p_a
-            pow_b1 = pow_b @ p_b
-            sims_even = transport.corner_values(
-                pow_a[:, None, :] - pow_b[None, :, :], graph.corners
-            )
-            sims_odd = transport.corner_values(
-                pow_a1[:, None, :] - pow_b1[None, :, :], graph.corners
-            )
-            union_moduli = np.concatenate([moduli(a), moduli(b)])
+            bases, coef = analysis.parity_expansion(graph, a, b)
+            limits, rates = analysis.parity_asymptotics(bases, coef)
+            reproduced = _reproduces(bases, coef, table)
             for u in range(graph.n):
                 for v in range(graph.n):
-                    guvab = Guvab(graph=graph, u=u, v=v, alpha=a, beta=b)
-                    report = analysis.classify(guvab)
-                    err_even = abs(float(sims_even[u, v]) - report.limit_even)
-                    err_odd = abs(float(sims_odd[u, v]) - report.limit_odd)
-                    if err_even > CLASS_SIM_TOL or err_odd > CLASS_SIM_TOL:
-                        discrepancies += 1
-                    limits = (report.limit_even, report.limit_odd)
-                    series = _settled_prefix(by_start[u][v], limits)
+                    report = analysis.classify(Guvab(graph=graph, u=u, v=v, alpha=a, beta=b))
+                    limit_even, limit_odd = (float(x) for x in limits[:, u, v])
+                    errs = (abs(limit_even - report.limit_even), abs(limit_odd - report.limit_odd))
+                    lams = [float(x) for x in rates[:, u, v]]
+                    check = lams == [0.0, 0.0] and abs(limit_even - limit_odd) <= W_TOL
+                    predicted = report.constancy_predicted
+                    agree = predicted is None or predicted == check
                     # independent check of the corner table: one flow solve per row
                     k_spot = 1 + (len(lines) - 1) % 40
                     w_flow = transport._flow_value(graph, xi[k_spot, u, v])
-                    if abs(w_flow - by_start[u][v][k_spot]) > W_TOL:
-                        discrepancies += 1
-                    if report.category is Category.W1:
-                        check = True
-                    elif report.category is Category.W_HALF:
-                        check = abs(b - 0.5) <= PARAM_TOL
-                    else:
-                        w1 = series[1][1]
-                        check = all(
-                            abs(w - w1) <= W_TOL for k, w in series[2:41] if k <= 40
+                    checks = {
+                        "limit": max(errs) <= W_TOL,
+                        "constancy": agree,
+                        "expansion": reproduced[u, v],
+                        "flow_sample": abs(w_flow - table[k_spot, u, v]) <= W_TOL,
+                    }
+                    failed = [name for name, ok in checks.items() if not ok]
+                    if failed:
+                        discrepancies += len(failed)
+                        print(
+                            f"sweep: {', '.join(failed)} failed at graph {gid}, u {u}, v {v}, "
+                            f"alpha {_fmt(a)}, beta {_fmt(b)}",
+                            file=sys.stderr,
                         )
-                    predicted = report.constancy_predicted
-                    agree = predicted is None or predicted == check
-                    if not agree:
-                        discrepancies += 1
-                    fits = {}
-                    for parity, limit in zip(("even", "odd"), limits):
-                        est = _fit(series, limit, parity)
-                        trusted = est is not None and (
-                            est.residual <= FIT_RESIDUAL_TOL and 0.0 < est.lam < 1.0
-                        )
-                        fits[parity] = est if trusted else None
-                    match_flags = []
-                    for est in fits.values():
-                        if est is None:
-                            continue
-                        ok = bool(
-                            np.min(np.abs(union_moduli - est.lam)) <= RATE_MATCH_TOL
-                        )
-                        match_flags.append(ok)
-                        if not ok:
-                            discrepancies += 1
-                    rate_match = (
-                        "" if not match_flags else str(all(match_flags)).lower()
-                    )
-                    lines.append(
-                        ",".join(
-                            [
-                                gid,
-                                str(graph.n),
-                                str(u),
-                                str(v),
-                                _fmt(a),
-                                _fmt(b),
-                                report.category.value,
-                                _fmt(report.limit_even),
-                                _fmt(report.limit_odd),
-                                str(report.converges).lower(),
-                                ""
-                                if predicted is None
-                                else str(predicted).lower(),
-                                str(check).lower(),
-                                str(agree).lower(),
-                                "" if fits["even"] is None else _fmt(fits["even"].lam),
-                                "" if fits["odd"] is None else _fmt(fits["odd"].lam),
-                                rate_match,
-                                _fmt(err_even),
-                                _fmt(err_odd),
-                            ]
-                        )
-                    )
+                    cells = [
+                        gid, str(graph.n), str(u), str(v), _fmt(a), _fmt(b),
+                        report.category.value, _fmt(report.limit_even), _fmt(report.limit_odd),
+                        _flag(report.converges), _flag(predicted), _flag(check), _flag(agree),
+                        *("" if lam == 0.0 else _fmt(lam) for lam in lams),
+                        _flag(reproduced[u, v]), *(_fmt(e) for e in errs),
+                    ]
+                    lines.append(",".join(cells))
     lines.append(f"# skipped_alpha_gt_beta_pairs={skipped}")
     lines.append(f"# discrepancies={discrepancies}")
     return "\n".join(lines) + "\n", discrepancies, skipped

@@ -19,14 +19,12 @@ STRICT_TOL = 1e-12  # settling inequalities: a sign product within this of 0 is 
 LIPSCHITZ_TOL = 1e-12  # dual check: an edge step up to 1 + this still counts as 1-Lipschitz
 
 # -- verdicts on W_k ---------------------------------------------------------------
-W_TOL = 1e-9  # two computed W agree: parity limits, W_k = W_1, W_k = 1, corner table vs flow
-SETTLED_TOL = 1e-12  # sweep: |W_k - limit| < this counts as settled when cutting the series
-UNIT_MODULUS_TOL = 1e-9  # an eigenvalue modulus >= 1 - this is a mode that does not decay
-CLASS_SIM_TOL = 1e-5  # sweep: closed-form limit vs W at steps 400 and 401
+W_TOL = 1e-9  # two W agree: limits, W_k = W_1, W_k = 1, table vs flow; expansion ties and zeros
+# eigenvalue moduli: one >= 1 - this does not decay; in the parity expansion two squared
+# moduli this close are one base, and one this close to 0 is the zero base
+UNIT_MODULUS_TOL = 1e-9
 
 # -- decay rates -------------------------------------------------------------------
 RATE_FLOOR = 1e-13  # fit_rate: an error <= this is float noise, not a point to fit
 RATE_WINDOW_HIGH = 1e-2  # rate window: errors above this still carry faster modes
 RATE_WINDOW_LOW = 1e-10  # rate window: errors below this carry the step iteration's noise
-FIT_RESIDUAL_TOL = 1e-3  # sweep: a fit whose log-RMS residual exceeds this is not trusted
-RATE_MATCH_TOL = 1e-3  # sweep: a fitted factor this close to an eigenvalue modulus matches it

@@ -199,10 +199,8 @@ def pair_states(
         nu = nu @ p_beta
 
 
-def xi_k(guvab: Guvab, k: int) -> Distribution:
-    """Signed difference mu_k - nu_k of the two walks' k-step distributions."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+def xi_series(guvab: Guvab) -> Iterator[np.ndarray]:
+    """Yield xi_k = mu_k - nu_k for k = 0, 1, 2, ... of walks started at u and v."""
     graph = guvab.graph
     states = pair_states(
         transition_matrix(graph, guvab.alpha).entries,
@@ -210,8 +208,14 @@ def xi_k(guvab: Guvab, k: int) -> Distribution:
         point_mass(graph.n, guvab.u).values,
         point_mass(graph.n, guvab.v).values,
     )
-    mu, nu = next(islice(states, k, None))
-    return signed_distribution(mu - nu)
+    return (mu - nu for mu, nu in states)
+
+
+def xi_k(guvab: Guvab, k: int) -> Distribution:
+    """Signed difference mu_k - nu_k of the two walks' k-step distributions."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    return signed_distribution(next(islice(xi_series(guvab), k, None)))
 
 
 def stationary_pi(graph: Graph) -> Distribution:

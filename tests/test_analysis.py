@@ -13,6 +13,7 @@ from walkdist import (
     TooFewPointsError,
     WrongCategoryError,
     all_pairs_distances,
+    build_graph,
     classify,
     complete_graph,
     cycle_graph,
@@ -22,6 +23,8 @@ from walkdist import (
     fit_rate,
     one_step_constancy_check,
     pair_states,
+    parity_asymptotics,
+    parity_expansion,
     path_graph,
     predict_constancy,
     rate_fit_window,
@@ -33,6 +36,7 @@ from walkdist import (
     wk_series,
     xi_k,
 )
+from walkdist.tolerances import W_TOL
 from walkdist.transport import corner_values
 
 
@@ -250,6 +254,74 @@ def test_spectral_reconstruction():
             powers = np.array([lam**k for lam in distinct])
             rebuilt = powers @ coeffs
             assert np.abs(rebuilt - xis[k]).max() <= 1e-9
+
+
+# -- parity expansion ------------------------------------------------------------------------
+
+def _asymptotics(graph, u, v, alpha, beta):
+    limit, rate = parity_asymptotics(*parity_expansion(graph, alpha, beta))
+    return limit[:, u, v], rate[:, u, v]
+
+
+def test_parity_asymptotics_readme_rate():
+    # two decay modes interfere here (0.857 and 0.827), so a fitted rate misses
+    graph = build_graph([(0, 1), (0, 4), (1, 2), (1, 3), (2, 3)], 5)
+    _, rate = _asymptotics(graph, 2, 2, 0.0, 0.5)
+    assert rate == pytest.approx([0.856568326584] * 2, abs=1e-12)
+    moduli = np.abs(np.concatenate([spectrum(graph, 0.0), spectrum(graph, 0.5)]))
+    assert np.abs(moduli - rate[0]).min() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "graph, u, v, alpha, beta, limits, rates",
+    [
+        (cycle_graph(4), 0, 1, 0.0, 0.3, (0.5, 0.5), (0.4, 0.4)),
+        (cycle_graph(4), 0, 1, 0.0, 0.5, (0.5, 0.5), (0.0, 0.0)),
+        # r = 1/3 + (2/3)(-1/2) = 0 comes out of float arithmetic as ~1e-16
+        (complete_graph(3), 0, 1, 1 / 3, 1 / 3, (0.0, 0.0), (0.0, 0.0)),
+        # different parity limits, no rate: oscillates forever, not constant
+        (path_graph(2), 0, 1, 0.0, 1.0, (1.0, 0.0), (0.0, 0.0)),
+    ],
+    ids=["c4-w-half", "c4-half-constant", "k3-zero-base", "p2-oscillating"],
+)
+def test_parity_asymptotics_verdicts(graph, u, v, alpha, beta, limits, rates):
+    limit, rate = _asymptotics(graph, u, v, alpha, beta)
+    assert limit == pytest.approx(limits, abs=1e-12)
+    assert rate == pytest.approx(rates, abs=1e-12)
+
+
+def _random_connected_graph(rng, n):
+    """A random tree (each vertex joins an earlier one) plus a few chords."""
+    edges = {(int(rng.integers(i)), i) for i in range(1, n)}
+    for _ in range(int(rng.integers(n))):
+        a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        edges.add((a, b))
+    return build_graph(sorted(edges), n)
+
+
+def test_parity_expansion_matches_flow_solver_beyond_enumeration():
+    rng = np.random.default_rng(5)
+    grid = (0.0, 0.25, 1 / 3, 0.5, 0.75, 1.0)
+    for n in (5, 6, 7) * 3:
+        graph = _random_connected_graph(rng, n)
+        u, v = (int(x) for x in rng.integers(n, size=2))
+        for alpha, beta in ((a, b) for a in grid for b in grid if a <= b):
+            bases, coef = parity_expansion(graph, alpha, beta)
+            guvab = Guvab(graph, u, v, alpha, beta)
+            for k, w in wk_series(guvab, 30):
+                j, p = divmod(k, 2)
+                assert abs((bases**j @ coef[p, u, v]).max() - w) <= 1e-9, (graph, u, v, k)
+            limit, _ = parity_asymptotics(bases, coef)
+            report = classify(guvab)
+            assert abs(limit[0, u, v] - report.limit_even) <= W_TOL
+            assert abs(limit[1, u, v] - report.limit_odd) <= W_TOL
+
+
+def test_parity_expansion_single_vertex():
+    bases, coef = parity_expansion(path_graph(1), 0.0, 0.5)
+    limit, rate = parity_asymptotics(bases, coef)
+    assert bases.tolist() == [1.0] and not coef.any()
+    assert not limit.any() and not rate.any()
 
 
 # -- rho bounds ------------------------------------------------------------------------------

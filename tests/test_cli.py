@@ -19,7 +19,7 @@ from walkdist import (
     transition_matrix,
     xi_k,
 )
-from walkdist import transport
+from walkdist import analysis, transport
 
 
 def run_cli(argv, capsys):
@@ -503,13 +503,48 @@ def test_xi_k_matches_sweep_table_states():
                         assert gap <= 1e-15, (graph, a, b, k, u, v, gap)
 
 
-def test_sweep_spot_check_is_live(tmp_path, capsys, monkeypatch):
-    # a flow solver that disagrees with the corner table by 1e-6 must be caught
-    solve = transport._flow_value
-    monkeypatch.setattr(transport, "_flow_value", lambda g, xi: solve(g, xi) + 1e-6)
+def _flow_off(solve):
+    return lambda graph, xi: solve(graph, xi) + 1e-6
+
+
+def _expansion_off(expand):
+    def scaled(graph, alpha, beta):
+        bases, coef = expand(graph, alpha, beta)
+        return bases, coef * (1.0 + 1e-6)
+
+    return scaled
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, check",
+    [
+        (transport, "_flow_value", _flow_off, "flow_sample"),
+        (analysis, "parity_expansion", _expansion_off, "expansion"),
+    ],
+    ids=["flow_sample", "expansion"],
+)
+def test_sweep_spot_check_is_live(module, name, fake, check, tmp_path, capsys, monkeypatch):
+    # a flow solver or an expansion off by 1e-6 must be caught and named on stderr
+    monkeypatch.setattr(module, name, fake(getattr(module, name)))
     out_path = tmp_path / "sweep.csv"
-    code, out, _ = run_cli(["sweep", "--nmax", "3", "--out", str(out_path)], capsys)
+    code, out, err = run_cli(["sweep", "--nmax", "3", "--out", str(out_path)], capsys)
     assert code == 3
     count = int(out_path.read_text().splitlines()[-1].split("=")[1])
     assert count > 0
     assert f"{count} discrepancies" in out
+    named = err.splitlines()
+    assert named
+    for line in named:
+        checks, key = line.removeprefix("sweep: ").split(" failed at ")
+        assert check in checks.split(", ")
+        assert key.startswith("graph ") and ", alpha " in key
+
+
+def test_sweep_oscillating_pair_is_not_constant():
+    # frozen v-walk, alternating u-walk on P2: parity limits 1 and 0, no rate
+    text, discrepancies, _ = cli.run_sweep(2, [0.0, 1.0])
+    assert discrepancies == 0
+    rows = {tuple(line.split(",")[:6]): line.split(",") for line in text.splitlines()}
+    row = rows[("0-1", "2", "0", "1", "0", "1")]
+    assert row[7:9] == ["1", "0"]
+    assert row[11:16] == ["false", "true", "", "", "true"]

@@ -32,3 +32,14 @@ def test_no_public_function_takes_a_tolerance():
         if name.startswith("tol") or name.endswith("_tol")
     ]
     assert taking == []
+
+
+def test_every_tolerance_is_read_elsewhere():
+    defined = re.findall(r"^([A-Z_]+) = ", (SRC / "tolerances.py").read_text(), re.M)
+    others = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "tolerances.py"
+    )
+    unread = [name for name in defined if not re.search(rf"\b{name}\b", others)]
+    assert defined and unread == []
