@@ -241,9 +241,9 @@ def predict_constancy(guvab: Guvab) -> tuple[bool, str | None]:
     if graph.n == 1:
         return True, "single-vertex graph: both walks are frozen"
     bip = graph.bipartite
-    metric = graph.metric
     if alpha == 0.0 and beta == 0.0:
-        if bip.is_bipartite and metric.dist[u, v] % 2 == 1:
+        # on a connected bipartite graph d(u, v) is odd iff u and v lie on opposite sides
+        if bip.is_bipartite and bip.side[u] != bip.side[v]:
             return True, "lazinesses 0 on a bipartite graph with odd u-v distance"
         if graph.adjacency[u] == graph.adjacency[v]:
             return True, "lazinesses 0 with identical neighborhoods"
@@ -344,10 +344,10 @@ def parity_expansion(graph: Graph, alpha: float, beta: float) -> tuple[np.ndarra
     if bases[-1] <= UNIT_MODULUS_TOL:
         bases[-1] = 0.0
     onehot = np.eye(len(bases))[group].reshape(2, graph.n, len(bases))  # [walk, i, g]
-    walk = np.einsum(
-        "ui,pwi,wig,ci->wpugc", q / root[:, None], [np.ones_like(r), r], onehot,
-        corners @ (q * root[:, None]),
-    )
+    powers = np.stack([np.ones_like(r), r], axis=1)  # [walk, p, i]: r^0 and r^1
+    left = powers[:, :, None, :] * (q / root[:, None])  # [walk, p, u, i]
+    right = corners @ (q * root[:, None])
+    walk = [np.einsum("pui,ig,ci->pugc", left[w], onehot[w], right) for w in (0, 1)]
     return np.array(bases), walk[0][:, :, None] - walk[1][:, None, :]
 
 

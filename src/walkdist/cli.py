@@ -18,8 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
+from operator import attrgetter
+from typing import TextIO
 
 import numpy as np
 
@@ -245,17 +248,26 @@ def cmd_distance(args) -> int:
 
 # -- sweep -------------------------------------------------------------------------
 
-def _sweep_series(graph, p_a: np.ndarray, p_b: np.ndarray, k_max: int):
-    """xi_k and W_k for every start pair (u, v) and k = 0..k_max at once.
+def _sweep_series(graph, lazinesses, k_max: int) -> np.ndarray:
+    """k-step distributions of every walk the sweep compares, k = 0..k_max.
 
-    Returns (xi, table): ``xi[k, u, v]`` is mu_k - nu_k for walks started at
-    u and v, and ``table[k, u, v]`` its Wasserstein distance, the largest
-    dual objective over the graph's integer 1-Lipschitz corners.
+    ``mu[k, l, u]`` is the distribution of the walk with laziness
+    ``lazinesses[l]`` started at u: the identity stepped by all transition
+    matrices at once, one stacked product per step.
     """
-    eye = np.eye(graph.n)
-    states = islice(walks.pair_states(p_a, p_b, eye, eye), k_max + 1)
-    mu, nu = map(np.array, zip(*states))
-    xi = mu[:, :, None, :] - nu[:, None, :, :]
+    steps = np.stack([transition_matrix(graph, a).entries for a in lazinesses])
+    start = np.broadcast_to(np.eye(graph.n), steps.shape)
+    return np.array(list(islice(walks.walk_states(steps, start), k_max + 1)))
+
+
+def _pair_table(graph, mu: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """xi_k and W_k of the walk pair (i, j) of ``mu`` for every start pair at once.
+
+    Returns (xi, table): ``xi[k, u, v] = mu[k, i, u] - mu[k, j, v]`` and
+    ``table[k, u, v]`` its Wasserstein distance, the largest dual objective
+    over the graph's integer 1-Lipschitz corners.
+    """
+    xi = mu[:, i, :, None, :] - mu[:, j, None, :, :]
     return xi, transport.corner_values(xi, graph.corners)
 
 
@@ -265,86 +277,98 @@ def _reproduces(bases: np.ndarray, coef: np.ndarray, table: np.ndarray) -> np.nd
     ok = np.ones(table.shape[1:], dtype=bool)
     for p in (0, 1):
         steps = table[p::2]
-        values = np.tensordot(powers[: len(steps)], coef[p], axes=(1, 2)).max(axis=-1)
-        ok &= (np.abs(values - steps) <= W_TOL).all(axis=0)
+        values = np.tensordot(coef[p], powers[: len(steps)], axes=(2, 1)).max(axis=2)  # [u, v, j]
+        ok &= (np.abs(values - steps.transpose(1, 2, 0)) <= W_TOL).all(axis=-1)
     return ok
 
 
-def run_sweep(n_max: int, grid: list[float]):
+def run_sweep(n_max: int, grid: list[float], out: TextIO) -> tuple[int, int]:
     """Validate closed-form predictions against the exact parity expansion on
     every labeled connected graph up to n_max vertices.
 
-    Each failed check of a row is a discrepancy, named on stderr with the
-    row's key.  Returns (csv text, discrepancy count, skipped alpha>beta pair
-    count).
+    Writes the CSV to ``out`` row by row.  Each failed check of a row is a
+    discrepancy, named on stderr with the row's key; after each vertex count
+    one stderr line gives its graphs, rows and CPU seconds.  Returns
+    (discrepancy count, skipped alpha>beta pair count).
     """
     values = sorted(set(grid))
-    pairs = [(a, b) for a in values for b in values if a <= b]
+    pairs = [(i, j) for i in range(len(values)) for j in range(i, len(values))]
     skipped = len(values) * len(values) - len(pairs)
     header = (
         "graph,n,u,v,alpha,beta,category,limit_even,limit_odd,converges,"
         "constancy_predicted,constancy_check,constancy_agree,"
         "lambda_even,lambda_odd,rate_match,err_even,err_odd"
     )
-    lines = [header]
-    discrepancies = 0
-    for graph in enumerate_connected_graphs(n_max):
-        gid = ";".join(f"{a}-{b}" for a, b in graph.edges) or "none"
-        for a, b in pairs:
-            p_a = transition_matrix(graph, a).entries
-            p_b = transition_matrix(graph, b).entries
-            xi, table = _sweep_series(graph, p_a, p_b, SWEEP_TABLE_K)
-            bases, coef = analysis.parity_expansion(graph, a, b)
-            limits, rates = analysis.parity_asymptotics(bases, coef)
-            reproduced = _reproduces(bases, coef, table)
-            for u in range(graph.n):
-                for v in range(graph.n):
-                    report = analysis.classify(Guvab(graph=graph, u=u, v=v, alpha=a, beta=b))
-                    limit_even, limit_odd = (float(x) for x in limits[:, u, v])
-                    errs = (abs(limit_even - report.limit_even), abs(limit_odd - report.limit_odd))
-                    lams = [float(x) for x in rates[:, u, v]]
-                    check = lams == [0.0, 0.0] and abs(limit_even - limit_odd) <= W_TOL
-                    predicted = report.constancy_predicted
-                    agree = predicted is None or predicted == check
-                    # independent check of the corner table: one flow solve per row
-                    k_spot = 1 + (len(lines) - 1) % 40
-                    w_flow = transport._flow_value(graph, xi[k_spot, u, v])
-                    checks = {
-                        "limit": max(errs) <= W_TOL,
-                        "constancy": agree,
-                        "expansion": reproduced[u, v],
-                        "flow_sample": abs(w_flow - table[k_spot, u, v]) <= W_TOL,
-                    }
-                    failed = [name for name, ok in checks.items() if not ok]
-                    if failed:
-                        discrepancies += len(failed)
-                        print(
-                            f"sweep: {', '.join(failed)} failed at graph {gid}, u {u}, v {v}, "
-                            f"alpha {_fmt(a)}, beta {_fmt(b)}",
-                            file=sys.stderr,
-                        )
-                    cells = [
-                        gid, str(graph.n), str(u), str(v), _fmt(a), _fmt(b),
-                        report.category.value, _fmt(report.limit_even), _fmt(report.limit_odd),
-                        _flag(report.converges), _flag(predicted), _flag(check), _flag(agree),
-                        *("" if lam == 0.0 else _fmt(lam) for lam in lams),
-                        _flag(reproduced[u, v]), *(_fmt(e) for e in errs),
-                    ]
-                    lines.append(",".join(cells))
-    lines.append(f"# skipped_alpha_gt_beta_pairs={skipped}")
-    lines.append(f"# discrepancies={discrepancies}")
-    return "\n".join(lines) + "\n", discrepancies, skipped
+    out.write(header + "\n")
+    rows = discrepancies = 0
+    for n, graphs in groupby(enumerate_connected_graphs(n_max), key=attrgetter("n")):
+        cpu, first_row, graph_count = time.process_time(), rows, 0
+        for graph in graphs:
+            graph_count += 1
+            gid = ";".join(f"{a}-{b}" for a, b in graph.edges) or "none"
+            mu = _sweep_series(graph, values, SWEEP_TABLE_K)
+            for i, j in pairs:
+                a, b = values[i], values[j]
+                xi, table = _pair_table(graph, mu, i, j)
+                bases, coef = analysis.parity_expansion(graph, a, b)
+                limits, rates = (x.tolist() for x in analysis.parity_asymptotics(bases, coef))
+                match = _reproduces(bases, coef, table).tolist()
+                fa, fb = _fmt(a), _fmt(b)
+                for u in range(n):
+                    for v in range(n):
+                        report = analysis.classify(Guvab(graph=graph, u=u, v=v, alpha=a, beta=b))
+                        limit_even, limit_odd = limits[0][u][v], limits[1][u][v]
+                        errs = (abs(limit_even - report.limit_even), abs(limit_odd - report.limit_odd))
+                        lams = (rates[0][u][v], rates[1][u][v])
+                        check = lams == (0.0, 0.0) and abs(limit_even - limit_odd) <= W_TOL
+                        predicted = report.constancy_predicted
+                        agree = predicted is None or predicted == check
+                        # independent check of the corner table: one flow solve per row
+                        k_spot = 1 + rows % 40
+                        w_flow = transport._flow_value(graph, xi[k_spot, u, v])
+                        checks = {
+                            "limit": max(errs) <= W_TOL,
+                            "constancy": agree,
+                            "expansion": match[u][v],
+                            "flow_sample": abs(w_flow - table[k_spot, u, v]) <= W_TOL,
+                        }
+                        failed = [name for name, ok in checks.items() if not ok]
+                        if failed:
+                            discrepancies += len(failed)
+                            print(
+                                f"sweep: {', '.join(failed)} failed at graph {gid}, u {u}, v {v}, "
+                                f"alpha {fa}, beta {fb}",
+                                file=sys.stderr,
+                            )
+                        cells = [
+                            report.category.value, _fmt(report.limit_even), _fmt(report.limit_odd),
+                            _flag(report.converges), _flag(predicted), _flag(check), _flag(agree),
+                            *("" if lam == 0.0 else _fmt(lam) for lam in lams),
+                            _flag(match[u][v]), *(_fmt(e) for e in errs),
+                        ]
+                        out.write(f"{gid},{n},{u},{v},{fa},{fb},{','.join(cells)}\n")
+                        rows += 1
+        print(
+            f"sweep: n {n}: {graph_count} graphs, {rows - first_row} rows, "
+            f"{time.process_time() - cpu:.2f} s CPU",
+            file=sys.stderr,
+        )
+    out.write(f"# skipped_alpha_gt_beta_pairs={skipped}\n")
+    out.write(f"# discrepancies={discrepancies}\n")
+    return discrepancies, skipped
 
 
 def cmd_sweep(args) -> int:
     grid = [float(x) for x in args.grid.split(",")] if args.grid else list(SWEEP_GRID)
-    text, discrepancies, skipped = run_sweep(args.nmax, grid)
-    _emit(text, args.out)
     if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            discrepancies, skipped = run_sweep(args.nmax, grid, fh)
         sys.stdout.write(
             f"sweep: n<={args.nmax}, {skipped} alpha>beta pairs skipped, "
             f"{discrepancies} discrepancies\n"
         )
+    else:
+        discrepancies, _ = run_sweep(args.nmax, grid, sys.stdout)
     return EXIT_DISCREPANCY if discrepancies else EXIT_OK
 
 

@@ -198,19 +198,19 @@ def _bfs_reach_count(adjacency, n: int) -> int:
 def all_pairs_distances(graph: Graph) -> Metric:
     """Exact integer shortest-path distances via BFS from every vertex."""
     n = graph.n
-    dist = np.full((n, n), -1, dtype=np.int64)
+    rows = []
     for s in range(n):
-        dist[s, s] = 0
-        queue = deque([s])
-        row = dist[s]
-        while queue:
-            v = queue.popleft()
-            dv = row[v]
+        row = [-1] * n
+        row[s] = 0
+        order = [s]
+        for v in order:  # the list grows while it is read: a BFS queue
+            dv = row[v] + 1
             for w in graph.adjacency[v]:
                 if row[w] < 0:
-                    row[w] = dv + 1
-                    queue.append(w)
-    return Metric(dist=_frozen_array(dist))
+                    row[w] = dv
+                    order.append(w)
+        rows.append(row)
+    return Metric(dist=_frozen_array(np.array(rows, dtype=np.int64)))
 
 
 def bipartite_decompose(graph: Graph) -> BipartiteStructure:

@@ -184,19 +184,24 @@ def k_step(initial: Distribution, matrix: TransitionMatrix, k: int) -> Distribut
     return Distribution(values=v, kind=PROBABILITY)
 
 
+def walk_states(p: np.ndarray, start: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield start @ p^k for k = 0, 1, 2, ... without end, one product per step.
+
+    ``start`` may be a row vector or a stack of rows (``np.eye(n)`` steps every
+    start vertex at once), and ``p`` a stack of transition matrices stepping a
+    matching stack of starts; the shapes round differently.
+    """
+    state = start
+    while True:
+        yield state
+        state = state @ p
+
+
 def pair_states(
     p_alpha: np.ndarray, p_beta: np.ndarray, mu0: np.ndarray, nu0: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (mu_k, nu_k) for k = 0, 1, 2, ... without end, one product per step.
-
-    Starts may be row vectors or stacks of rows (``np.eye(n)`` steps every
-    start vertex at once); the two shapes round differently.
-    """
-    mu, nu = mu0, nu0
-    while True:
-        yield mu, nu
-        mu = mu @ p_alpha
-        nu = nu @ p_beta
+    """Yield (mu_k, nu_k) for k = 0, 1, 2, ... of two walks, each by :func:`walk_states`."""
+    return zip(walk_states(p_alpha, mu0), walk_states(p_beta, nu0))
 
 
 def xi_series(guvab: Guvab) -> Iterator[np.ndarray]:

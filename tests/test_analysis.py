@@ -142,6 +142,18 @@ def test_predict_shared_neighborhood_clauses(k3, k4):
     assert predict_constancy(Guvab(k4, 0, 1, 0.3, 0.3))[0] is False
 
 
+def test_predict_odd_distance_clause_matches_metric_parity():
+    # the clause reads the 2-coloring; on connected graphs that is d(u, v) odd
+    for g in enumerate_connected_graphs(5):
+        dist = all_pairs_distances(g).dist
+        for u in range(g.n):
+            for v in range(g.n):
+                flag, reason = predict_constancy(Guvab(g, u, v, 0.0, 0.0))
+                odd = g.bipartite.is_bipartite and dist[u, v] % 2 == 1
+                assert flag == (odd or g.adjacency[u] == g.adjacency[v])
+                assert (reason == "lazinesses 0 on a bipartite graph with odd u-v distance") == odd
+
+
 def test_predict_rejects_beta_one(c4):
     with pytest.raises(BetaOneError):
         predict_constancy(Guvab(c4, 0, 1, 0.0, 1.0))

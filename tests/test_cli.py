@@ -16,7 +16,6 @@ from walkdist import (
     enumerate_connected_graphs,
     graph_to_text,
     path_graph,
-    transition_matrix,
     xi_k,
 )
 from walkdist import analysis, transport
@@ -389,6 +388,19 @@ def test_distance_builds_no_metric(tmp_path, p3_file, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("beta", ["0", "0.3"], ids=["W1", "W_HALF"])
+def test_trace_below_beta_one_builds_no_metric(beta, c4_file, capsys, monkeypatch):
+    from walkdist import graphs
+
+    calls = []
+    build = graphs.all_pairs_distances
+    monkeypatch.setattr(graphs, "all_pairs_distances", lambda g: calls.append(g) or build(g))
+    argv = ["trace", "--graph", c4_file, "--u", "0", "--v", "1", "--alpha", "0", "--beta", beta]
+    code, _, _ = run_cli(argv + ["--kmax", "10"], capsys)
+    assert code == 0
+    assert calls == []
+
+
 def test_distance_unbalanced(tmp_path, p3_file, capsys):
     mu = tmp_path / "mu.csv"
     mu.write_text("0,1.0\n")
@@ -471,14 +483,14 @@ def test_sweep_n4_full_grid_exits_clean(tmp_path, capsys):
 def test_sweep_corner_table_matches_flow_solver():
     # every connected labeled graph with n <= 4, every default-grid pair
     ks = (0, 1, 2, 7, 40, 400)
+    grid = cli.SWEEP_GRID
     for graph in enumerate_connected_graphs(4):
-        for a in cli.SWEEP_GRID:
-            for b in cli.SWEEP_GRID:
+        mu = cli._sweep_series(graph, grid, max(ks))
+        for i, a in enumerate(grid):
+            for j, b in enumerate(grid):
                 if a > b:
                     continue
-                p_a = transition_matrix(graph, a).entries
-                p_b = transition_matrix(graph, b).entries
-                xi, table = cli._sweep_series(graph, p_a, p_b, max(ks))
+                xi, table = cli._pair_table(graph, mu, i, j)
                 for k in ks:
                     for u in range(graph.n):
                         for v in range(graph.n):
@@ -490,11 +502,11 @@ def test_xi_k_matches_sweep_table_states():
     # vector and batched products round differently: close, not bitwise equal
     ks = (0, 1, 7, 40)
     pairs = ((0.0, 0.5), (0.25, 1.0 / 3.0), (0.0, 0.0), (1.0 / 3.0, 0.75))
+    grid = cli.SWEEP_GRID
     for graph in enumerate_connected_graphs(4):
+        mu = cli._sweep_series(graph, grid, max(ks))
         for a, b in pairs:
-            p_a = transition_matrix(graph, a).entries
-            p_b = transition_matrix(graph, b).entries
-            xi, _ = cli._sweep_series(graph, p_a, p_b, max(ks))
+            xi, _ = cli._pair_table(graph, mu, grid.index(a), grid.index(b))
             for k in ks:
                 for u in range(graph.n):
                     for v in range(graph.n):
@@ -532,7 +544,7 @@ def test_sweep_spot_check_is_live(module, name, fake, check, tmp_path, capsys, m
     count = int(out_path.read_text().splitlines()[-1].split("=")[1])
     assert count > 0
     assert f"{count} discrepancies" in out
-    named = err.splitlines()
+    named = [line for line in err.splitlines() if " failed at " in line]
     assert named
     for line in named:
         checks, key = line.removeprefix("sweep: ").split(" failed at ")
@@ -542,9 +554,43 @@ def test_sweep_spot_check_is_live(module, name, fake, check, tmp_path, capsys, m
 
 def test_sweep_oscillating_pair_is_not_constant():
     # frozen v-walk, alternating u-walk on P2: parity limits 1 and 0, no rate
-    text, discrepancies, _ = cli.run_sweep(2, [0.0, 1.0])
+    out = io.StringIO()
+    discrepancies, _ = cli.run_sweep(2, [0.0, 1.0], out)
     assert discrepancies == 0
-    rows = {tuple(line.split(",")[:6]): line.split(",") for line in text.splitlines()}
+    rows = {tuple(line.split(",")[:6]): line.split(",") for line in out.getvalue().splitlines()}
     row = rows[("0-1", "2", "0", "1", "0", "1")]
     assert row[7:9] == ["1", "0"]
     assert row[11:16] == ["false", "true", "", "", "true"]
+
+
+def test_sweep_runs_every_check_once(monkeypatch):
+    # one flow spot check per row and one parity expansion per (graph, laziness pair)
+    calls = {"_flow_value": 0, "parity_expansion": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(transport, "_flow_value")
+    counted(analysis, "parity_expansion")
+    out = io.StringIO()
+    assert cli.run_sweep(3, list(cli.SWEEP_GRID), out) == (0, 15)
+    rows = [line for line in out.getvalue().splitlines()[1:] if not line.startswith("#")]
+    assert calls["_flow_value"] == len(rows) == (1 + 4 + 4 * 9) * 21
+    assert calls["parity_expansion"] == (1 + 1 + 4) * 21
+
+
+def test_sweep_times_each_vertex_count(capsys):
+    out = io.StringIO()
+    cli.run_sweep(3, [0.0, 0.5], out)
+    text = out.getvalue()
+    err = capsys.readouterr().err.splitlines()
+    assert err == [line for line in err if line.startswith("sweep: n ")]
+    counts = [line.split(": ", 2)[2].split(", ")[:2] for line in err]
+    assert counts == [["1 graphs", "3 rows"], ["1 graphs", "12 rows"], ["4 graphs", "108 rows"]]
+    assert len(text.splitlines()) == 1 + 3 + 12 + 108 + 2
