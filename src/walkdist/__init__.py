@@ -96,12 +96,9 @@ from .tree_transport import (
 from .walks import (
     Distribution,
     Guvab,
-    TransitionMatrix,
     TwoStateDist,
-    k_step,
     limit_xi,
     load_guvab_config,
-    pair_states,
     point_mass,
     probability_distribution,
     signed_distribution,
@@ -110,6 +107,7 @@ from .walks import (
     transition_matrix,
     two_state_closed_form,
     walk_parity_limits,
+    walk_states,
     xi_k,
     zero_distribution,
 )

@@ -42,7 +42,7 @@ from .tolerances import (
     PARAM_TOL, RATE_FLOOR, RATE_WINDOW_HIGH, RATE_WINDOW_LOW, UNIT_MODULUS_TOL, W_TOL
 )
 from .transport import _series_flow_values
-from .walks import Guvab, stationary_pi, transition_matrix, xi_series
+from .walks import Guvab, check_laziness, stationary_pi, xi_series
 
 RHO_CONFIRM_K = 50  # steps W_k must stay at 1 past the onset rho_bounds reports
 RHO_MAX_K = 400  # last step rho_bounds computes
@@ -309,7 +309,7 @@ def spectrum(graph: Graph, laziness: float) -> np.ndarray:
     """
     if graph.n == 1:
         return np.array([1.0])
-    transition_matrix(graph, laziness)  # validates laziness range
+    check_laziness(laziness)
     base = np.linalg.eigvalsh(_normalized_adjacency(graph))
     return np.sort(laziness + (1.0 - laziness) * base)
 

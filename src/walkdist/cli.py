@@ -29,6 +29,7 @@ import numpy as np
 from . import analysis, transport, tree_transport, walks
 from .errors import NoLaterNeighborError, WalkdistError
 from .graphs import (
+    check_enumeration_limit,
     enumerate_connected_graphs,
     load_graph_file,
     r_monotone_ordering,
@@ -255,7 +256,7 @@ def _sweep_series(graph, lazinesses, k_max: int) -> np.ndarray:
     ``lazinesses[l]`` started at u: the identity stepped by all transition
     matrices at once, one stacked product per step.
     """
-    steps = np.stack([transition_matrix(graph, a).entries for a in lazinesses])
+    steps = np.stack([transition_matrix(graph, a) for a in lazinesses])
     start = np.broadcast_to(np.eye(graph.n), steps.shape)
     return np.array(list(islice(walks.walk_states(steps, start), k_max + 1)))
 
@@ -360,6 +361,9 @@ def run_sweep(n_max: int, grid: list[float], out: TextIO) -> tuple[int, int]:
 
 def cmd_sweep(args) -> int:
     grid = [float(x) for x in args.grid.split(",")] if args.grid else list(SWEEP_GRID)
+    check_enumeration_limit(args.nmax)  # before the CSV header or the --out file is written
+    for a in sorted(set(grid)):
+        walks.check_laziness(a)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             discrepancies, skipped = run_sweep(args.nmax, grid, fh)

@@ -54,7 +54,7 @@ class NotBipartiteError(WalkdistError):
 
 
 class InvalidDistributionError(WalkdistError):
-    """Distribution values violate the declared kind."""
+    """Distribution values are non-finite, or miss the required sign or total mass."""
 
 
 # -- transport ---------------------------------------------------------------

@@ -9,11 +9,11 @@ bipartite 2-coloring, a canonical BFS spanning tree with its leaf-distance
 rank ``r``, the r-monotone vertex ordering used by the tree-based transport
 algorithm, the integer 1-Lipschitz vertex functions (the corners of the
 transport dual), and exhaustive enumeration of small labeled connected graphs.
+All of the traversal behind them is one breadth-first search, :func:`_bfs`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -174,103 +174,68 @@ def build_graph(edge_list, n: int) -> Graph:
         neighbors[a].append(b)
         neighbors[b].append(a)
     adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
-    graph = Graph(n=n, adjacency=adjacency, edges=edges)
-    if _bfs_reach_count(adjacency, n) != n:
+    if len(_bfs(adjacency, [0])[0]) != n:
         raise DisconnectedError("graph is not connected")
-    return graph
+    return Graph(n=n, adjacency=adjacency, edges=edges)
 
 
-def _bfs_reach_count(adjacency, n: int) -> int:
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
+def _bfs(adjacency, sources) -> tuple[list[int], list[int]]:
+    """Breadth-first visit order from ``sources`` and each vertex's hop distance
+    to the nearest source (-1 when unreached).  Neighbors are visited in
+    adjacency order, so the order is deterministic."""
+    dist = [-1] * len(adjacency)
+    for s in sources:
+        dist[s] = 0
+    order = list(sources)
+    for v in order:  # the list grows while it is read: a FIFO queue
+        dv = dist[v] + 1
         for w in adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count
+            if dist[w] < 0:
+                dist[w] = dv
+                order.append(w)
+    return order, dist
 
 
 def all_pairs_distances(graph: Graph) -> Metric:
     """Exact integer shortest-path distances via BFS from every vertex."""
-    n = graph.n
-    rows = []
-    for s in range(n):
-        row = [-1] * n
-        row[s] = 0
-        order = [s]
-        for v in order:  # the list grows while it is read: a BFS queue
-            dv = row[v] + 1
-            for w in graph.adjacency[v]:
-                if row[w] < 0:
-                    row[w] = dv
-                    order.append(w)
-        rows.append(row)
+    rows = [_bfs(graph.adjacency, [s])[1] for s in range(graph.n)]
     return Metric(dist=_frozen_array(np.array(rows, dtype=np.int64)))
 
 
 def bipartite_decompose(graph: Graph) -> BipartiteStructure:
-    """BFS 2-coloring; detects an odd cycle when none exists.
+    """2-coloring by BFS depth parity from vertex 0, so vertex 0 lies on side 0.
 
-    Side labels are normalized so vertex 0 lies on side 0.
+    The graph is bipartite iff no edge joins two vertices of equal parity.
     """
-    side = [-1] * graph.n
-    side[0] = 0
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in graph.adjacency[v]:
-            if side[w] < 0:
-                side[w] = 1 - side[v]
-                queue.append(w)
-            elif side[w] == side[v]:
-                return BipartiteStructure(is_bipartite=False, side=None)
-    return BipartiteStructure(is_bipartite=True, side=tuple(side))
+    side = tuple(d & 1 for d in _bfs(graph.adjacency, [0])[1])
+    if any(side[a] == side[b] for a, b in graph.edges):
+        return BipartiteStructure(is_bipartite=False, side=None)
+    return BipartiteStructure(is_bipartite=True, side=side)
 
 
 def spanning_tree(graph: Graph) -> SpanningTree:
     """Canonical BFS spanning tree rooted at vertex 0.
 
-    The queue visits neighbors in ascending index order, so the tree is
-    deterministic.  Leaves are the tree-degree-1 vertices and ``r`` is the
-    graph-metric distance to the nearest leaf.
+    Each vertex hangs from its earliest-visited neighbor one level up: the
+    parent a FIFO queue visiting neighbors in ascending order assigns.
+    Leaves are the tree-degree-1 vertices and ``r`` is the graph-metric
+    distance to the nearest leaf.
     """
     n = graph.n
     if n == 1:
         return SpanningTree(tree_edges=(), leaves=(0,), r=(0,))
-    parent = [-1] * n
-    visited = [False] * n
-    visited[0] = True
-    queue = deque([0])
+    order, depth = _bfs(graph.adjacency, [0])
+    visited = {v: i for i, v in enumerate(order)}
     tree_edges = []
     tree_deg = [0] * n
-    while queue:
-        v = queue.popleft()
-        for w in graph.adjacency[v]:
-            if not visited[w]:
-                visited[w] = True
-                parent[w] = v
-                tree_edges.append((v, w) if v < w else (w, v))
-                tree_deg[v] += 1
-                tree_deg[w] += 1
-                queue.append(w)
+    for w in order[1:]:
+        up = [x for x in graph.adjacency[w] if depth[x] == depth[w] - 1]
+        v = min(up, key=visited.__getitem__)
+        tree_edges.append((v, w) if v < w else (w, v))
+        tree_deg[v] += 1
+        tree_deg[w] += 1
     leaves = tuple(v for v in range(n) if tree_deg[v] == 1)
-    # multi-source BFS in the full graph from the leaf set
-    r = [-1] * n
-    queue = deque()
-    for leaf in leaves:
-        r[leaf] = 0
-        queue.append(leaf)
-    while queue:
-        v = queue.popleft()
-        for w in graph.adjacency[v]:
-            if r[w] < 0:
-                r[w] = r[v] + 1
-                queue.append(w)
+    r = _bfs(graph.adjacency, leaves)[1]
     return SpanningTree(tree_edges=tuple(sorted(tree_edges)), leaves=leaves, r=tuple(r))
 
 
@@ -281,51 +246,37 @@ def integer_lipschitz_functions(graph: Graph) -> np.ndarray:
     constraint matrix is a graph incidence matrix, hence totally unimodular),
     so the Wasserstein distance of a zero-sum xi is the largest ``ell . xi``
     over the rows.  At most 3^(n-1) rows: exponential in n.
+
+    Vertices are placed in BFS order, so each new one has an earlier neighbor:
+    every row is extended by that neighbor's value -1, 0 and +1, and the
+    extensions within 1 of every earlier neighbor are kept.  Rows come out in
+    lexicographic order of their values along the BFS order.
     """
-    n = graph.n
-    bound = n - 1
-    # assign vertices in BFS order so each new vertex sees an assigned neighbor
-    order: list[int] = [0]
-    seen = {0}
-    for v in order:
-        for w in graph.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    assigned_before: list[frozenset[int]] = []
-    placed: set[int] = set()
-    for v in order:
-        assigned_before.append(frozenset(placed))
-        placed.add(v)
-
-    rows: list[tuple[int, ...]] = []
-    assignment = [0] * n
-
-    def assign(idx: int) -> None:
-        if idx == n:
-            rows.append(tuple(assignment))
-            return
-        v = order[idx]
-        lo, hi = -bound, bound
-        for w in graph.adjacency[v]:
-            if w in assigned_before[idx]:
-                lo = max(lo, assignment[w] - 1)
-                hi = min(hi, assignment[w] + 1)
-        for val in range(lo, hi + 1):
-            assignment[v] = val
-            assign(idx + 1)
-
-    if n == 1:
-        rows.append((0,))
-    else:
-        assign(1)
-    return _frozen_array(np.array(rows, dtype=float))
+    order, _ = _bfs(graph.adjacency, [0])
+    placed = [False] * graph.n
+    placed[0] = True
+    rows = np.zeros((1, graph.n))
+    for v in order[1:]:
+        earlier = [w for w in graph.adjacency[v] if placed[w]]
+        rows = np.repeat(rows, 3, axis=0)
+        rows[:, v] = rows[:, earlier[0]] + np.tile([-1.0, 0.0, 1.0], len(rows) // 3)
+        rows = rows[(np.abs(rows[:, earlier] - rows[:, [v]]) <= 1.0).all(axis=1)]
+        placed[v] = True
+    return _frozen_array(rows)
 
 
 def r_monotone_ordering(tree: SpanningTree) -> ROrdering:
     """Vertices sorted by rank ``r``, ties broken by ascending index."""
     order = sorted(range(len(tree.r)), key=lambda v: (tree.r[v], v))
     return ROrdering(order=tuple(order))
+
+
+def check_enumeration_limit(n_max: int) -> None:
+    """Raise :class:`LimitExceededError` unless 1 <= n_max <= ENUMERATION_MAX_VERTICES."""
+    if not (1 <= n_max <= ENUMERATION_MAX_VERTICES):
+        raise LimitExceededError(
+            f"enumeration supports 1..{ENUMERATION_MAX_VERTICES} vertices, got {n_max}"
+        )
 
 
 def enumerate_connected_graphs(n_max: int) -> Iterator[Graph]:
@@ -335,14 +286,8 @@ def enumerate_connected_graphs(n_max: int) -> Iterator[Graph]:
     connectivity, so each labeled graph appears exactly once.  Bounded to
     n_max <= 6 (26704 graphs at n = 6).
     """
-    if not (1 <= n_max <= ENUMERATION_MAX_VERTICES):
-        raise LimitExceededError(
-            f"enumeration supports 1..{ENUMERATION_MAX_VERTICES} vertices, got {n_max}"
-        )
+    check_enumeration_limit(n_max)
     for n in range(1, n_max + 1):
-        if n == 1:
-            yield Graph(n=1, adjacency=((),), edges=())
-            continue
         pairs = list(combinations(range(n), 2))
         m = len(pairs)
         for mask in range(1 << m):
@@ -357,7 +302,7 @@ def enumerate_connected_graphs(n_max: int) -> Iterator[Graph]:
                     neighbors[b].append(a)
                     edges.append(pairs[idx])
             adjacency = tuple(tuple(ns) for ns in neighbors)
-            if _bfs_reach_count(adjacency, n) == n:
+            if len(_bfs(adjacency, [0])[0]) == n:
                 yield Graph(n=n, adjacency=adjacency, edges=tuple(edges))
 
 

@@ -373,7 +373,7 @@ def wasserstein_between(mu: Distribution, nu: Distribution, graph: Graph) -> Tra
         raise UnbalancedMassError(
             f"mass mismatch: sum(mu)={total_mu!r} vs sum(nu)={total_nu!r}"
         )
-    diff = Distribution(values=mu.values - nu.values, kind="signed")
+    diff = Distribution(values=mu.values - nu.values)
     return wasserstein(diff, graph)
 
 
@@ -445,9 +445,8 @@ def distribution_from_csv(text: str, n: int) -> Distribution:
     Blank lines and lines starting with ``#`` are skipped; the first other
     line may be a header.
 
-    Any real masses are accepted; the result is tagged signed when the total
-    is (numerically) zero and probability otherwise.  Mass-balance
-    preconditions are enforced by the transport operations, not here.
+    Any finite real masses are accepted.  Mass-balance preconditions are
+    enforced by the transport operations, not here.
     """
     values = np.zeros(n)
     first = True
@@ -466,5 +465,4 @@ def distribution_from_csv(text: str, n: int) -> Distribution:
         if not 0 <= vtx < n:
             raise ValueError(f"line {line_no + 1}: vertex {vtx} outside 0..{n - 1}")
         values[vtx] += float(parts[1])
-    kind = "signed" if abs(float(values.sum())) <= MASS_TOL else "probability"
-    return Distribution(values=values, kind=kind)
+    return Distribution(values=values)

@@ -1,10 +1,11 @@
-"""Lazy random walks: transition matrices, k-step evolution, and limits.
+"""Lazy random walks: transition matrices, the one stepper, and limits.
 
 A walk with laziness ``a`` stays put with probability ``a`` and otherwise
 moves to a uniformly random neighbor.  A :class:`Guvab` names a pair of such
 walks on one graph: start vertices ``u``, ``v`` and lazinesses
 ``alpha <= beta``.  The central signed quantity is the difference
-``xi_k = mu_k - nu_k`` between the two k-step distributions.
+``xi_k = mu_k - nu_k`` between the two k-step distributions.  Every walk is
+stepped by :func:`walk_states`, one walk or a stack of them at once.
 
 Limiting distributions are computed in closed form: the degree-proportional
 stationary distribution for mixing walks, the side-supported alternating
@@ -31,21 +32,17 @@ from .errors import (
 from .graphs import Graph, load_graph_file
 from .tolerances import MASS_TOL, PARAM_TOL
 
-PROBABILITY = "probability"
-SIGNED = "signed"
-
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """Real-valued vector over vertices, tagged probability or signed.
+    """Read-only real-valued vector over vertices; every value must be finite.
 
-    Probability distributions are nonnegative and sum to 1; signed
-    distributions sum to 0, both within ``MASS_TOL``.  Every value
-    must be finite, whatever the kind.
+    :func:`probability_distribution` also checks that the values are
+    nonnegative and sum to 1, :func:`signed_distribution` that they sum to 0,
+    both within ``MASS_TOL``.
     """
 
     values: np.ndarray
-    kind: str
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).copy()
@@ -58,9 +55,6 @@ class Distribution:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def __neg__(self) -> "Distribution":
-        return signed_distribution(-self.values)
-
 
 def probability_distribution(values) -> Distribution:
     v = np.asarray(values, dtype=float)
@@ -70,14 +64,14 @@ def probability_distribution(values) -> Distribution:
         raise InvalidDistributionError(
             f"probability mass sums to {v.sum()!r}, expected 1"
         )
-    return Distribution(values=v, kind=PROBABILITY)
+    return Distribution(values=v)
 
 
 def signed_distribution(values) -> Distribution:
     v = np.asarray(values, dtype=float)
     if abs(v.sum()) > MASS_TOL:
         raise InvalidDistributionError(f"signed mass sums to {v.sum()!r}, expected 0")
-    return Distribution(values=v, kind=SIGNED)
+    return Distribution(values=v)
 
 
 def point_mass(n: int, vertex: int) -> Distribution:
@@ -85,11 +79,17 @@ def point_mass(n: int, vertex: int) -> Distribution:
         raise InvalidVertexError(f"vertex {vertex} outside 0..{n - 1}")
     v = np.zeros(n)
     v[vertex] = 1.0
-    return Distribution(values=v, kind=PROBABILITY)
+    return Distribution(values=v)
 
 
 def zero_distribution(n: int) -> Distribution:
-    return Distribution(values=np.zeros(n), kind=SIGNED)
+    return Distribution(values=np.zeros(n))
+
+
+def check_laziness(laziness: float, name: str = "laziness") -> None:
+    """Raise :class:`LazinessOutOfRangeError` unless 0 <= laziness <= 1 (NaN fails)."""
+    if not 0.0 <= laziness <= 1.0:
+        raise LazinessOutOfRangeError(f"{name}={laziness} outside [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +114,8 @@ class Guvab:
         for name, vtx in (("u", self.u), ("v", self.v)):
             if not 0 <= vtx < n:
                 raise InvalidVertexError(f"{name}={vtx} outside 0..{n - 1}")
-        for name, laz in (("alpha", self.alpha), ("beta", self.beta)):
-            if not 0.0 <= laz <= 1.0:
-                raise LazinessOutOfRangeError(f"{name}={laz} outside [0, 1]")
+        check_laziness(self.alpha, "alpha")
+        check_laziness(self.beta, "beta")
         if self.alpha > self.beta:
             raise LazinessOrderError(
                 f"alpha={self.alpha} > beta={self.beta}; walk pairs require alpha <= beta"
@@ -129,19 +128,6 @@ class Guvab:
                 object.__setattr__(self, name, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionMatrix:
-    """Row-stochastic one-step matrix of a lazy walk.
-
-    Diagonal entries equal the laziness; each off-diagonal entry is
-    (1 - laziness)/deg(i) toward every neighbor.  A single-vertex graph has
-    nowhere to move, so its matrix is the 1x1 identity for any laziness.
-    """
-
-    entries: np.ndarray
-    laziness: float
-
-
 @dataclass(frozen=True)
 class TwoStateDist:
     """Distribution of the two-state side-switching chain."""
@@ -150,9 +136,14 @@ class TwoStateDist:
     p1: float
 
 
-def transition_matrix(graph: Graph, laziness: float) -> TransitionMatrix:
-    if not 0.0 <= laziness <= 1.0:
-        raise LazinessOutOfRangeError(f"laziness={laziness} outside [0, 1]")
+def transition_matrix(graph: Graph, laziness: float) -> np.ndarray:
+    """Read-only row-stochastic one-step matrix of a lazy walk.
+
+    Diagonal entries equal the laziness; each off-diagonal entry is
+    (1 - laziness)/deg(i) toward every neighbor.  A single-vertex graph has
+    nowhere to move, so its matrix is the 1x1 identity for any laziness.
+    """
+    check_laziness(laziness)
     n = graph.n
     mat = np.zeros((n, n))
     for i in range(n):
@@ -165,23 +156,7 @@ def transition_matrix(graph: Graph, laziness: float) -> TransitionMatrix:
         for j in graph.adjacency[i]:
             mat[i, j] = share
     mat.setflags(write=False)
-    return TransitionMatrix(entries=mat, laziness=laziness)
-
-
-def k_step(initial: Distribution, matrix: TransitionMatrix, k: int) -> Distribution:
-    """Evolve a probability distribution k steps (row-vector convention).
-
-    Uses iterated vector-matrix products rather than matrix powering; O(k n^2)
-    and numerically stable at desk scale.
-    """
-    if initial.kind != PROBABILITY:
-        raise InvalidDistributionError("k_step requires a probability distribution")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    v = initial.values
-    for _ in range(k):
-        v = v @ matrix.entries
-    return Distribution(values=v, kind=PROBABILITY)
+    return mat
 
 
 def walk_states(p: np.ndarray, start: np.ndarray) -> Iterator[np.ndarray]:
@@ -197,23 +172,12 @@ def walk_states(p: np.ndarray, start: np.ndarray) -> Iterator[np.ndarray]:
         state = state @ p
 
 
-def pair_states(
-    p_alpha: np.ndarray, p_beta: np.ndarray, mu0: np.ndarray, nu0: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (mu_k, nu_k) for k = 0, 1, 2, ... of two walks, each by :func:`walk_states`."""
-    return zip(walk_states(p_alpha, mu0), walk_states(p_beta, nu0))
-
-
 def xi_series(guvab: Guvab) -> Iterator[np.ndarray]:
     """Yield xi_k = mu_k - nu_k for k = 0, 1, 2, ... of walks started at u and v."""
     graph = guvab.graph
-    states = pair_states(
-        transition_matrix(graph, guvab.alpha).entries,
-        transition_matrix(graph, guvab.beta).entries,
-        point_mass(graph.n, guvab.u).values,
-        point_mass(graph.n, guvab.v).values,
-    )
-    return (mu - nu for mu, nu in states)
+    mus = walk_states(transition_matrix(graph, guvab.alpha), point_mass(graph.n, guvab.u).values)
+    nus = walk_states(transition_matrix(graph, guvab.beta), point_mass(graph.n, guvab.v).values)
+    return (mu - nu for mu, nu in zip(mus, nus))
 
 
 def xi_k(guvab: Guvab, k: int) -> Distribution:
@@ -226,9 +190,9 @@ def xi_k(guvab: Guvab, k: int) -> Distribution:
 def stationary_pi(graph: Graph) -> Distribution:
     """Degree-proportional stationary distribution."""
     if graph.n == 1:
-        return Distribution(values=np.ones(1), kind=PROBABILITY)
+        return Distribution(values=np.ones(1))
     deg = np.array(graph.degrees, dtype=float)
-    return Distribution(values=deg / deg.sum(), kind=PROBABILITY)
+    return Distribution(values=deg / deg.sum())
 
 
 def tau_distributions(graph: Graph) -> tuple[Distribution, Distribution]:
@@ -247,10 +211,7 @@ def tau_distributions(graph: Graph) -> tuple[Distribution, Distribution]:
     side = np.array(bipartite.side)
     tau0 = np.where(side == 0, weight, 0.0)
     tau1 = np.where(side == 1, weight, 0.0)
-    return (
-        Distribution(values=tau0, kind=PROBABILITY),
-        Distribution(values=tau1, kind=PROBABILITY),
-    )
+    return Distribution(values=tau0), Distribution(values=tau1)
 
 
 def walk_parity_limits(
@@ -294,8 +255,7 @@ def two_state_closed_form(laziness: float, k: int) -> TwoStateDist:
 
     p0 = 0.5 + 0.5*(2a - 1)^k, started in state 0 with stay-probability a.
     """
-    if not 0.0 <= laziness <= 1.0:
-        raise LazinessOutOfRangeError(f"laziness={laziness} outside [0, 1]")
+    check_laziness(laziness)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     term = 0.5 * (2.0 * laziness - 1.0) ** k

@@ -127,7 +127,7 @@ def test_criterion_04_exhaustive_classification():
     for graph in _family(N_TOP):
         powers = {}
         for a in GRID:
-            m = transition_matrix(graph, a).entries
+            m = transition_matrix(graph, a)
             p400 = np.linalg.matrix_power(m, 400)
             powers[a] = (p400, p400 @ m)
         for ia, a in enumerate(GRID):

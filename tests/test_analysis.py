@@ -22,7 +22,6 @@ from walkdist import (
     enumerate_connected_graphs,
     fit_rate,
     one_step_constancy_check,
-    pair_states,
     parity_asymptotics,
     parity_expansion,
     path_graph,
@@ -33,6 +32,7 @@ from walkdist import (
     spectrum,
     star_graph,
     transition_matrix,
+    walk_states,
     wk_series,
     xi_k,
 )
@@ -232,7 +232,7 @@ def test_spectrum_matches_direct_eigensolve():
     # oracle: eigenvalues of the (non-symmetric) walk matrix itself
     for g in (path_graph(4), cycle_graph(5), star_graph(3), complete_graph(4)):
         for a in (0.0, 0.3, 0.8):
-            direct = np.sort(np.linalg.eigvals(transition_matrix(g, a).entries).real)
+            direct = np.sort(np.linalg.eigvals(transition_matrix(g, a)).real)
             assert np.allclose(spectrum(g, a), direct, atol=1e-9)
 
 
@@ -402,9 +402,9 @@ def test_wk_series_matches_corner_maximum():
     for g in enumerate_connected_graphs(5):
         u, v = 0, g.n - 1
         for alpha, beta in ((0.0, 0.5), (1 / 3, 1.0), (0.0, 0.0), (0.25, 0.75)):
-            states = pair_states(
-                transition_matrix(g, alpha).entries, transition_matrix(g, beta).entries,
-                np.eye(g.n)[u], np.eye(g.n)[v],
+            states = zip(
+                walk_states(transition_matrix(g, alpha), np.eye(g.n)[u]),
+                walk_states(transition_matrix(g, beta), np.eye(g.n)[v]),
             )
             xis = np.array([mu - nu for mu, nu in islice(states, 31)])
             series = [w for _, w in wk_series(Guvab(g, u, v, alpha, beta), 30)]

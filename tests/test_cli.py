@@ -449,10 +449,24 @@ def test_sweep_n3_default_grid(tmp_path, capsys):
         assert float(row["err_even"]) <= 1e-5
 
 
-def test_sweep_rejects_large_n(capsys):
-    code, _, err = run_cli(["sweep", "--nmax", "7"], capsys)
-    assert code == 2
-    assert "enumeration" in err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--nmax", "0"], "enumeration supports 1..6 vertices, got 0"),
+        (["--nmax", "7"], "enumeration supports 1..6 vertices, got 7"),
+        (["--nmax", "3", "--grid", "nan"], "laziness=nan outside [0, 1]"),
+        (["--nmax", "3", "--grid", "0.5,1.5"], "laziness=1.5 outside [0, 1]"),
+    ],
+    ids=["nmax-0", "nmax-7", "grid-nan", "grid-1.5"],
+)
+def test_sweep_rejects_bad_arguments_before_output(argv, message, tmp_path, capsys):
+    # a rejected sweep writes no CSV header, neither to stdout nor to a new --out file
+    out_path = tmp_path / "sweep.csv"
+    for extra in ([], ["--out", str(out_path)]):
+        code, out, err = run_cli(["sweep", *argv, *extra], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert not out_path.exists()
 
 
 def test_sweep_custom_grid_skips_reversed_pairs(tmp_path, capsys):

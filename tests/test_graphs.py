@@ -1,9 +1,11 @@
 """Graph construction, metric, bipartite structure, trees, enumeration."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 from walkdist import (
     DisconnectedError,
@@ -263,6 +265,36 @@ def test_enumeration_unique_and_valid():
 def test_enumeration_limit():
     with pytest.raises(LimitExceededError):
         list(enumerate_connected_graphs(7))
+
+
+def test_structure_matches_independent_oracles_exhaustive():
+    # every connected labeled graph with n <= 5: scipy's unweighted shortest
+    # paths, scipy's BFS tree (first discoverer as parent, neighbors ascending),
+    # and the corners as the brute-force integer functions with ell[0] = 0,
+    # entries in [-(n-1), n-1] and steps <= 1 across every edge, in
+    # lexicographic order of their values along the BFS order
+    functions = {}  # n -> every integer function with ell[0] = 0 in range
+    for g in enumerate_connected_graphs(5):
+        n = g.n
+        rows, cols = zip(*g.edges) if g.edges else ((), ())
+        adj = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        adj = (adj + adj.T).tocsr()
+        adj.sort_indices()
+        assert np.array_equal(g.metric.dist, shortest_path(adj, unweighted=True))
+        order, pred = breadth_first_order(adj, 0, directed=False, return_predecessors=True)
+        tree = tuple(sorted((min(w, p), max(w, p)) for w, p in enumerate(pred) if p >= 0))
+        assert spanning_tree(g).tree_edges == tree
+        if n not in functions:
+            values = np.array(list(product(range(-(n - 1), n), repeat=n - 1)), dtype=int)
+            functions[n] = np.hstack([np.zeros((len(values), 1), dtype=int), values])
+        brute = functions[n]
+        if g.edges:
+            a, b = np.array(g.edges).T
+            brute = brute[(np.abs(brute[:, a] - brute[:, b]) <= 1).all(axis=1)]
+        assert {tuple(r) for r in g.corners} == {tuple(r) for r in brute}
+        assert len(g.corners) == len(brute)
+        keys = [tuple(r) for r in g.corners[:, order]]
+        assert keys == sorted(keys)
 
 
 # -- text format ----------------------------------------------------------------------

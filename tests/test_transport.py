@@ -71,11 +71,11 @@ def test_c4_pi_to_side_limit_half(c4):
 
 def test_unbalanced_rejected(c4):
     with pytest.raises(UnbalancedMassError):
-        wasserstein(Distribution(values=np.array([1.0, 0, 0, 0]), kind="signed"), c4)
+        wasserstein(Distribution(values=np.array([1.0, 0, 0, 0])), c4)
     with pytest.raises(UnbalancedMassError):
         wasserstein_between(
             point_mass(4, 0),
-            Distribution(values=np.array([0.5, 0, 0, 0]), kind="probability"),
+            Distribution(values=np.array([0.5, 0, 0, 0])),
             c4,
         )
 
@@ -343,13 +343,13 @@ def test_translation_invariance(c5):
         nu *= mu.sum() / nu.sum()
         psi = np.abs(rng.normal(size=5))
         base = wasserstein_between(
-            Distribution(values=mu, kind="probability"),
-            Distribution(values=nu, kind="probability"),
+            Distribution(values=mu),
+            Distribution(values=nu),
             c5,
         ).value
         shifted = wasserstein_between(
-            Distribution(values=mu + psi, kind="probability"),
-            Distribution(values=nu + psi, kind="probability"),
+            Distribution(values=mu + psi),
+            Distribution(values=nu + psi),
             c5,
         ).value
         assert abs(base - shifted) <= 1e-12 * max(1.0, base)
@@ -375,10 +375,8 @@ def test_potential_csv(p4):
 
 def test_distribution_from_csv(p4):
     d = distribution_from_csv("vertex,mass\n0,0.5\n3,-0.5\n", 4)
-    assert d.kind == "signed"
     assert np.array_equal(d.values, [0.5, 0, 0, -0.5])
-    d = distribution_from_csv("0,0.5\n1,0.5\n", 4)
-    assert d.kind == "probability"
+    distribution_from_csv("0,0.5\n1,0.5\n", 4)
     with pytest.raises(ValueError):
         distribution_from_csv("0,0.5\n9,0.5\n", 4)
 

@@ -1,6 +1,7 @@
 """Transition matrices, k-step evolution, limits, the two-state chain."""
 
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from walkdist import (
     bipartite_decompose,
     enumerate_connected_graphs,
     graph_to_text,
-    k_step,
     limit_xi,
     load_guvab_config,
     point_mass,
@@ -29,6 +29,7 @@ from walkdist import (
     tau_distributions,
     transition_matrix,
     two_state_closed_form,
+    walk_states,
     xi_k,
 )
 
@@ -50,9 +51,8 @@ def test_distribution_validation():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_distribution_rejects_non_finite(bad):
-    for kind in ("probability", "signed"):
-        with pytest.raises(InvalidDistributionError, match="non-finite"):
-            Distribution(values=[0.5, bad], kind=kind)
+    with pytest.raises(InvalidDistributionError, match="non-finite"):
+        Distribution(values=[0.5, bad])
     with pytest.raises(InvalidDistributionError):
         signed_distribution([bad, 0.0])
 
@@ -69,9 +69,9 @@ def test_guvab_validation(c4):
 # -- transition matrices --------------------------------------------------------------
 
 def test_transition_examples(p2, p3, c4):
-    assert np.array_equal(transition_matrix(p2, 0.0).entries, [[0, 1], [1, 0]])
-    assert np.array_equal(transition_matrix(c4, 1.0).entries, np.eye(4))
-    center_row = transition_matrix(p3, 1 / 3).entries[1]
+    assert np.array_equal(transition_matrix(p2, 0.0), [[0, 1], [1, 0]])
+    assert np.array_equal(transition_matrix(c4, 1.0), np.eye(4))
+    center_row = transition_matrix(p3, 1 / 3)[1]
     assert np.allclose(center_row, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
@@ -83,19 +83,23 @@ def test_transition_rejects_bad_laziness(p2):
 def test_transition_structure():
     for g in enumerate_connected_graphs(4):
         for a in (0.0, 0.3, 1.0):
-            m = transition_matrix(g, a).entries
+            m = transition_matrix(g, a)
             assert np.allclose(m.sum(axis=1), 1.0, atol=1e-12)
             if g.n > 1:
                 assert np.allclose(np.diag(m), a, atol=1e-15)
 
 
-# -- k_step ---------------------------------------------------------------------------
+# -- k-step evolution (walk_states) -----------------------------------------------------
+
+def _k_step(start, p, k):
+    return next(islice(walk_states(p, start), k, None))
+
 
 def test_k_step_examples(p2, c4):
-    mu = point_mass(2, 0)
-    assert np.array_equal(k_step(mu, transition_matrix(p2, 0.3), 0).values, mu.values)
-    hop = k_step(mu, transition_matrix(p2, 0.0), 1)
-    assert np.array_equal(hop.values, [0.0, 1.0])
+    mu = point_mass(2, 0).values
+    assert np.array_equal(_k_step(mu, transition_matrix(p2, 0.3), 0), mu)
+    hop = _k_step(mu, transition_matrix(p2, 0.0), 1)
+    assert np.array_equal(hop, [0.0, 1.0])
 
 
 def test_k_step_c4_two_steps_matches_walk_enumeration(c4):
@@ -105,20 +109,15 @@ def test_k_step_c4_two_steps_matches_walk_enumeration(c4):
         for second in c4.adjacency[first]:
             counts[second] += 1.0
     oracle = counts / counts.sum()
-    got = k_step(point_mass(4, 0), transition_matrix(c4, 0.0), 2).values
+    got = _k_step(point_mass(4, 0).values, transition_matrix(c4, 0.0), 2)
     assert np.allclose(got, oracle, atol=1e-15)
     assert np.allclose(got, [0.5, 0.0, 0.5, 0.0], atol=1e-15)
-
-
-def test_k_step_requires_probability(p2):
-    with pytest.raises(InvalidDistributionError):
-        k_step(signed_distribution([0.5, -0.5]), transition_matrix(p2, 0.0), 1)
 
 
 def test_row_stochasticity_preserved_small_graphs():
     # all starts at once: evolve the full matrix power and check row sums
     for g in enumerate_connected_graphs(5):
-        m = transition_matrix(g, 1 / 3).entries
+        m = transition_matrix(g, 1 / 3)
         power = np.eye(g.n)
         for _ in range(200):
             power = power @ m
@@ -128,7 +127,7 @@ def test_row_stochasticity_preserved_small_graphs():
 def test_row_stochasticity_preserved_n6_sample():
     graphs = [g for g in enumerate_connected_graphs(6) if g.n == 6]
     for g in graphs[:: max(1, len(graphs) // 250)]:
-        m = transition_matrix(g, 0.25).entries
+        m = transition_matrix(g, 0.25)
         power = np.eye(6)
         for _ in range(200):
             power = power @ m
@@ -189,7 +188,7 @@ def test_limit_xi_matches_iteration_exhaustively():
     for g in enumerate_connected_graphs(5):
         powers = {}
         for a in GRID:
-            m = transition_matrix(g, a).entries
+            m = transition_matrix(g, a)
             p800 = np.linalg.matrix_power(m, 800)
             powers[a] = (p800, p800 @ m)
         for ia, a in enumerate(GRID):
@@ -244,7 +243,7 @@ def test_side_mass_follows_two_state_chain():
             continue
         side0 = [v for v in range(g.n) if bip.side[v] == 0]
         for beta in (0.0, 0.3, 0.75):
-            m = transition_matrix(g, beta).entries
+            m = transition_matrix(g, beta)
             power = np.eye(g.n)
             for k in range(0, 41):
                 for start in range(g.n):
