@@ -126,8 +126,7 @@ def divergence_sum(graph: Graph, v: int) -> float:
     graph has different even and odd limits.
     """
     total = 0.0
-    for w in range(graph.n):
-        d = int(graph.metric.dist[v, w])
+    for w, d in enumerate(graph.distances_from(v).tolist()):
         total += (-1.0 if d % 2 else 1.0) * d * graph.degree(w)
     return total
 
@@ -137,8 +136,9 @@ def _point_to_side_limit(graph: Graph, v: int, side: int) -> float:
     side's mass must travel to v, so the value is (2/sum deg) * sum of
     d(v, w) deg(w) over the side."""
     deg_sum = 2.0 * graph.edge_count
+    dist_v = graph.distances_from(v)
     total = sum(
-        graph.metric.dist[v, w] * graph.degree(w)
+        dist_v[w] * graph.degree(w)
         for w in range(graph.n)
         if graph.bipartite.side[w] == side
     )
@@ -148,7 +148,7 @@ def _point_to_side_limit(graph: Graph, v: int, side: int) -> float:
 def _point_to_pi_limit(graph: Graph, v: int) -> float:
     """Distance from the stationary distribution to a point mass at v."""
     pi = stationary_pi(graph).values
-    return float(np.dot(pi, graph.metric.dist[:, v]))
+    return float(np.dot(pi, graph.distances_from(v)))
 
 
 def _converges_to_zero(graph: Graph, u: int, v: int, alpha: float, beta: float) -> bool:
@@ -181,7 +181,7 @@ def classify(guvab: Guvab) -> ClassificationReport:
     elif beta == 1.0:
         category = Category.BETA1
         if alpha == 1.0:
-            limit_even = limit_odd = float(graph.metric.dist[u, v])
+            limit_even = limit_odd = float(graph.distances_from(v)[u])
         elif alpha == 0.0 and bip.is_bipartite:
             s = bip.side[u]
             limit_even = _point_to_side_limit(graph, v, s)
@@ -273,7 +273,7 @@ def detect_gluvab(guvab: Guvab) -> bool:
     if guvab.beta != 1.0:
         return False
     graph, u, v = guvab.graph, guvab.u, guvab.v
-    dist_v = graph.metric.dist[:, v]
+    dist_v = graph.distances_from(v)
     radius = int(dist_v.max())
     if 2 * int(dist_v[u]) != radius:
         return False
@@ -307,9 +307,9 @@ def spectrum(graph: Graph, laziness: float) -> np.ndarray:
     D^{-1/2} A D^{-1/2}, so its spectrum is real; laziness rescales it
     affinely to a + (1 - a) * eig.
     """
+    check_laziness(laziness)
     if graph.n == 1:
         return np.array([1.0])
-    check_laziness(laziness)
     base = np.linalg.eigvalsh(_normalized_adjacency(graph))
     return np.sort(laziness + (1.0 - laziness) * base)
 
@@ -398,7 +398,7 @@ def rho_bounds(guvab: Guvab) -> RhoBounds:
         raise WrongCategoryError(
             f"constancy-onset bounds need category W1, got {report.category.value}"
         )
-    lower = float(guvab.graph.metric.dist[guvab.u, guvab.v]) / 2.0 - 1.0
+    lower = float(guvab.graph.distances_from(guvab.v)[guvab.u]) / 2.0 - 1.0
     lambda_max = spectral_data(guvab).lambda_max
     upper = 10.0 * math.log(guvab.graph.n) / (1.0 - lambda_max**2)
     horizon = min(RHO_MAX_K, int(math.ceil(upper)) + RHO_CONFIRM_K + 2)

@@ -4,11 +4,12 @@ Vertices are dense integer indices ``0..n-1``.  Everything here is immutable
 after construction: graphs are hashable value objects, matrices are returned
 as read-only numpy arrays, and all operations are pure functions.
 
-Beyond validation this module provides the shortest-path metric, the
-bipartite 2-coloring, a canonical BFS spanning tree with its leaf-distance
-rank ``r``, the r-monotone vertex ordering used by the tree-based transport
-algorithm, the integer 1-Lipschitz vertex functions (the corners of the
-transport dual), and exhaustive enumeration of small labeled connected graphs.
+Beyond validation this module provides single-source distance rows and the
+shortest-path metric stacked from them, the bipartite 2-coloring, a canonical
+BFS spanning tree with its leaf-distance rank ``r``, the r-monotone vertex
+ordering used by the tree-based transport algorithm, the integer 1-Lipschitz
+vertex functions (the corners of the transport dual), and exhaustive
+enumeration of small labeled connected graphs.
 All of the traversal behind them is one breadth-first search, :func:`_bfs`.
 """
 
@@ -40,8 +41,9 @@ class Graph:
 
     ``adjacency[i]`` is the sorted tuple of neighbors of ``i``; ``edges``
     lists each unordered pair once as ``(i, j)`` with ``i < j``.  Derived
-    structure (``metric``, ``bipartite``, ``corners``) is computed on first
-    use and kept on the instance, so it lives exactly as long as the graph.
+    structure (``metric``, ``bipartite``, ``corners`` and each row of
+    :meth:`distances_from`) is computed on first use and kept on the
+    instance, so it lives exactly as long as the graph.
     """
 
     n: int
@@ -62,6 +64,19 @@ class Graph:
     @cached_property
     def metric(self) -> Metric:
         return all_pairs_distances(self)
+
+    def distances_from(self, v: int) -> np.ndarray:
+        """Read-only int64 hop distances from v to every vertex (one BFS, kept)."""
+        rows = self._distance_rows
+        if v not in rows:
+            if not 0 <= v < self.n:
+                raise InvalidVertexError(f"vertex {v} outside 0..{self.n - 1}")
+            rows[v] = _frozen_array(np.array(_bfs(self.adjacency, [v])[1], dtype=np.int64))
+        return rows[v]
+
+    @cached_property
+    def _distance_rows(self) -> dict[int, np.ndarray]:
+        return {}
 
     @cached_property
     def bipartite(self) -> BipartiteStructure:
@@ -197,9 +212,9 @@ def _bfs(adjacency, sources) -> tuple[list[int], list[int]]:
 
 
 def all_pairs_distances(graph: Graph) -> Metric:
-    """Exact integer shortest-path distances via BFS from every vertex."""
-    rows = [_bfs(graph.adjacency, [s])[1] for s in range(graph.n)]
-    return Metric(dist=_frozen_array(np.array(rows, dtype=np.int64)))
+    """Exact integer shortest-path distances: the rows of :meth:`Graph.distances_from`."""
+    rows = [graph.distances_from(s) for s in range(graph.n)]
+    return Metric(dist=_frozen_array(np.stack(rows)))
 
 
 def bipartite_decompose(graph: Graph) -> BipartiteStructure:

@@ -23,6 +23,13 @@ series the potential of the solve two steps back is nearly optimal already,
 since each parity subsequence converges, so a series solve
 (``_series_flow_values``) mostly skips straight to its blocking flows.
 
+A series step with one source or one sink needs no solve: all mass must
+travel from that source or to that sink, so the value is a sum of masses
+times distances from one vertex, taken with ``math.fsum``.  Such values are
+exact up to the rounding of each product: the solver's dust rule (``DUST``)
+strands no mass in them.  Every step of a frozen-target series (beta = 1,
+so nu_k is a point mass) is of this kind.
+
 The final potentials give a 1-Lipschitz dual certificate with zero duality
 gap up to floating point, and the optimal arc flows, which are acyclic,
 decompose into a sparse source-to-target plan whose paths are all geodesics.
@@ -36,6 +43,7 @@ oracle shares no code with the flow solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,17 +111,51 @@ def _flow_value(graph: Graph, supply: np.ndarray) -> float:
     return float(sum(map(abs, flows)))
 
 
-def _series_flow_values(graph: Graph, supplies):
-    """Optimal values of a series of supplies on one graph, solved in order.
+def _point_sided(graph: Graph, supply: np.ndarray):
+    """(value, optimal potential) of a supply with one source or one sink, else None.
 
-    Each solve starts from the final potential of the solve two steps back:
-    along a converging W_k series xi_k is close to xi_{k-2}, while one step
-    back can sit on the other side of a bipartite graph when alpha = 0.
+    With one source u (the only entry above 0) all mass must travel from u,
+    so the value is ``sum_x max(-supply[x], 0) * d(x, u)``.  The dual
+    ``ell = -min(d(., u), r)``, with r the distance from u to its farthest
+    sink, reaches the same objective: a zero gap.  For ``delta_u - delta_v``
+    it is the potential a cold flow solve ends with, so the solve two steps
+    later starts where it would have.  One sink v mirrors this with
+    ``ell = min(d(., v), r)``.  A supply without a source or a sink moves
+    nothing.
+    """
+    sources = np.flatnonzero(supply > 0.0)
+    sinks = np.flatnonzero(supply < 0.0)
+    if not (len(sources) and len(sinks)):
+        return 0.0, np.zeros(graph.n, dtype=np.int64)
+    if len(sources) == 1:
+        point, far, sign = sources[0], sinks, -1
+    elif len(sinks) == 1:
+        point, far, sign = sinks[0], sources, 1
+    else:
+        return None
+    row = graph.distances_from(int(point))
+    value = math.fsum((np.maximum(sign * supply, 0.0) * row).tolist())
+    return value, -sign * np.minimum(row, row[far].max())
+
+
+def _series_flow_values(graph: Graph, supplies):
+    """Optimal values of a series of supplies on one graph, in order.
+
+    A supply with one sink or one source takes the closed form of
+    :func:`_point_sided`; every other one is a flow solve that starts from
+    the optimal potential of the supply two steps back: along a converging
+    W_k series xi_k is close to xi_{k-2}, while one step back can sit on the
+    other side of a bipartite graph when alpha = 0.
     """
     starts = [None, None]
     for i, supply in enumerate(supplies):
-        flows, starts[i % 2] = _min_cost_flow(graph, supply, starts[i % 2])
-        yield float(sum(map(abs, flows)))
+        closed = _point_sided(graph, supply)
+        if closed is None:
+            flows, starts[i % 2] = _min_cost_flow(graph, supply, starts[i % 2])
+            yield float(sum(map(abs, flows)))
+        else:
+            value, starts[i % 2] = closed
+            yield value
 
 
 def _min_cost_flow(graph: Graph, supply: np.ndarray, start=None):

@@ -1,15 +1,18 @@
 """Classification, constancy, spectra, constancy-onset bounds, rate fits."""
 
+import math
 from itertools import islice
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from walkdist import (
     BetaOneError,
     Category,
     EventuallyConstantError,
     Guvab,
+    LazinessOutOfRangeError,
     TooFewPointsError,
     WrongCategoryError,
     all_pairs_distances,
@@ -38,6 +41,7 @@ from walkdist import (
 )
 from walkdist.tolerances import W_TOL
 from walkdist.transport import corner_values
+from walkdist.walks import xi_series
 
 
 # -- classify ---------------------------------------------------------------------
@@ -206,18 +210,23 @@ def test_gluvab_implies_constant_distance():
     assert found >= 3
 
 
-def test_metric_built_once_per_graph(monkeypatch):
+def test_analysis_builds_each_distance_row_once(monkeypatch):
     from walkdist import graphs
 
-    calls = []
+    metric_calls, bfs_sources = [], []
     build = graphs.all_pairs_distances
-    monkeypatch.setattr(graphs, "all_pairs_distances", lambda g: calls.append(g) or build(g))
+    monkeypatch.setattr(graphs, "all_pairs_distances", lambda g: metric_calls.append(g) or build(g))
     g = cycle_graph(4)
+    bfs = graphs._bfs
+    monkeypatch.setattr(graphs, "_bfs", lambda adj, src: bfs_sources.append(list(src)) or bfs(adj, src))
     classify(Guvab(g, 0, 1, 0.0, 1.0))
     detect_gluvab(Guvab(g, 0, 1, 0.0, 1.0))
     divergence_sum(g, 1)
     rho_bounds(Guvab(g, 0, 1, 0.0, 0.0))
-    assert len(calls) == 1
+    assert metric_calls == []
+    # the bipartition from vertex 0, the row of v = 1, and the row of u = 0 for
+    # W_0 of the W1 series
+    assert sorted(bfs_sources) == [[0], [0], [1]]
 
 
 # -- spectrum ------------------------------------------------------------------------------
@@ -226,6 +235,14 @@ def test_spectrum_examples(c4):
     assert np.allclose(spectrum(c4, 0.0), [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
     assert np.allclose(spectrum(c4, 1.0), np.ones(4), atol=1e-15)
     assert np.allclose(spectrum(c4, 0.5), [0.0, 0.5, 0.5, 1.0], atol=1e-12)
+
+
+def test_spectrum_checks_laziness_on_a_single_vertex():
+    with pytest.raises(LazinessOutOfRangeError):
+        spectrum(path_graph(2), 1.5)
+    with pytest.raises(LazinessOutOfRangeError):
+        spectrum(build_graph([], 1), 1.5)
+    assert spectrum(build_graph([], 1), 0.5).tolist() == [1.0]
 
 
 def test_spectrum_matches_direct_eigensolve():
@@ -409,6 +426,46 @@ def test_wk_series_matches_corner_maximum():
             xis = np.array([mu - nu for mu, nu in islice(states, 31)])
             series = [w for _, w in wk_series(Guvab(g, u, v, alpha, beta), 30)]
             assert np.abs(np.array(series) - corner_values(xis, g.corners)).max() <= 1e-12
+
+
+def test_frozen_target_series_matches_corner_maximum_exhaustive():
+    for g in enumerate_connected_graphs(4):
+        for u in range(g.n):
+            for v in range(g.n):
+                for alpha in (0.0, 0.25, 1 / 3, 0.5, 0.75, 1.0):
+                    guvab = Guvab(g, u, v, alpha, 1.0)
+                    xis = np.array(list(islice(xi_series(guvab), 31)))
+                    series = np.array([w for _, w in wk_series(guvab, 30)])
+                    assert np.abs(series - corner_values(xis, g.corners)).max() <= 1e-12
+
+
+def _chorded_ring(n, rng):
+    """A cycle on n vertices plus n // 12 random chords."""
+    edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    while len(edges) < n + n // 12:
+        a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        edges.add((a, b))
+    return build_graph(sorted(edges), n)
+
+
+def test_frozen_target_series_is_exact_on_rings():
+    # W_k = sum_x mu_k(x) d(x, v): the walk stepped here by its own matrix and
+    # the distances from scipy, summed with math.fsum
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        g = _chorded_ring(int(rng.integers(110, 131)), rng)
+        adjacency = np.zeros((g.n, g.n))
+        for a, b in g.edges:
+            adjacency[a, b] = adjacency[b, a] = 1.0
+        u, v = (int(x) for x in rng.integers(g.n, size=2))
+        dist_v = shortest_path(adjacency, unweighted=True)[:, v]
+        alpha = round(float(rng.uniform(0.0, 0.9)), 4)
+        step = alpha * np.eye(g.n) + (1 - alpha) * adjacency / adjacency.sum(axis=1)[:, None]
+        mu = np.eye(g.n)[u]
+        for k, w in wk_series(Guvab(g, u, v, alpha, 1.0), 60):
+            ref = math.fsum((mu * dist_v).tolist())
+            assert abs(w - ref) <= 1e-13 * max(1.0, ref), (g.n, u, v, alpha, k)
+            mu = mu @ step
 
 
 def test_wk_series_w_half_closed_form(c4):

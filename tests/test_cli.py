@@ -401,6 +401,36 @@ def test_trace_below_beta_one_builds_no_metric(beta, c4_file, capsys, monkeypatc
     assert calls == []
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("u", ["0", "1"], ids=["u-ne-v", "u-eq-v"])
+def test_trace_beta_one_solves_no_flow_and_builds_no_metric(u, c4_file, capsys, monkeypatch):
+    from walkdist import graphs
+
+    solves = _count_calls(monkeypatch, transport, "_min_cost_flow")
+    metrics = _count_calls(monkeypatch, graphs, "all_pairs_distances")
+    argv = ["trace", "--graph", c4_file, "--u", u, "--v", "1", "--alpha", "0.3", "--beta", "1"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(_parse_trace_csv(out)[0]) == 61
+    assert solves == [] and metrics == []
+
+
+def test_trace_below_beta_one_solves_every_step_after_the_first(c4_file, capsys, monkeypatch):
+    # xi_0 = delta_u - delta_v takes the closed form; every later xi_k of this
+    # pair has two sources and two sinks
+    solves = _count_calls(monkeypatch, transport, "_min_cost_flow")
+    argv = ["trace", "--graph", c4_file, "--u", "0", "--v", "1", "--alpha", "0", "--beta", "0.3"]
+    code, _, _ = run_cli(argv + ["--kmax", "60"], capsys)
+    assert code == 0
+    assert len(solves) == 60
+
+
 def test_distance_unbalanced(tmp_path, p3_file, capsys):
     mu = tmp_path / "mu.csv"
     mu.write_text("0,1.0\n")
@@ -579,7 +609,7 @@ def test_sweep_oscillating_pair_is_not_constant():
 
 def test_sweep_runs_every_check_once(monkeypatch):
     # one flow spot check per row and one parity expansion per (graph, laziness pair)
-    calls = {"_flow_value": 0, "parity_expansion": 0}
+    calls = {"_flow_value": 0, "_min_cost_flow": 0, "parity_expansion": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -591,12 +621,32 @@ def test_sweep_runs_every_check_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(transport, "_flow_value")
+    counted(transport, "_min_cost_flow")
     counted(analysis, "parity_expansion")
     out = io.StringIO()
     assert cli.run_sweep(3, list(cli.SWEEP_GRID), out) == (0, 15)
     rows = [line for line in out.getvalue().splitlines()[1:] if not line.startswith("#")]
     assert calls["_flow_value"] == len(rows) == (1 + 4 + 4 * 9) * 21
+    assert calls["_min_cost_flow"] == len(rows)
     assert calls["parity_expansion"] == (1 + 1 + 4) * 21
+
+
+def test_sweep_builds_each_distance_row_once(monkeypatch):
+    from walkdist import graphs
+
+    counts = {}
+    bfs = graphs._bfs
+
+    def counted(adjacency, sources):
+        key = (adjacency, tuple(sources))
+        counts[key] = counts.get(key, 0) + 1
+        return bfs(adjacency, sources)
+
+    monkeypatch.setattr(graphs, "_bfs", counted)
+    cli.run_sweep(3, list(cli.SWEEP_GRID), io.StringIO())
+    # vertex 0 also roots the connectivity check, the bipartition and the corners
+    rows = {key: c for key, c in counts.items() if key[1] != (0,)}
+    assert rows and set(rows.values()) == {1}
 
 
 def test_sweep_times_each_vertex_count(capsys):

@@ -93,6 +93,17 @@ def test_metric_axioms_exhaustive():
         assert ones == edge_set
 
 
+def test_distance_rows_match_metric_exhaustive():
+    for g in enumerate_connected_graphs(5):
+        for v in range(g.n):
+            row = g.distances_from(v)
+            assert row is g.distances_from(v)
+            assert row.dtype == np.int64 and not row.flags.writeable
+            assert np.array_equal(row, g.metric.dist[v])
+    with pytest.raises(InvalidVertexError):
+        path_graph(3).distances_from(3)
+
+
 def test_graph_context_is_computed_once(c4):
     assert c4.metric is c4.metric
     assert np.array_equal(c4.metric.dist, all_pairs_distances(c4).dist)

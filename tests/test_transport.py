@@ -8,7 +8,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from walkdist.tolerances import DUST
-from walkdist.transport import _decompose_flows, _min_cost_flow
+from walkdist.transport import _decompose_flows, _min_cost_flow, _point_sided
 from walkdist import (
     Distribution,
     DualPotential,
@@ -147,6 +147,43 @@ def test_any_lipschitz_start_gives_the_cold_value():
             xi = _random_signed(rng, g.n)
             for corner in g.corners:
                 _assert_warm_start_agrees(g, xi, -corner)
+
+
+def test_point_sided_closed_form_is_certified():
+    # one source or one sink: the exact value, and a potential that is a
+    # zero-gap 1-Lipschitz dual and a valid warm start
+    rng = np.random.default_rng(17)
+    for g in enumerate_connected_graphs(5):
+        point = int(rng.integers(g.n))
+        mass = rng.uniform(0.05, 1.0, size=g.n) * (rng.random(g.n) < 0.7)
+        mass[point] = 0.0
+        if not mass.any():
+            continue
+        for sign in (1.0, -1.0):
+            values = sign * mass
+            values[point] = -sign * mass.sum()
+            xi = signed_distribution(values)
+            value, pot = _point_sided(g, xi.values)
+            assert abs(value - wasserstein_oracle(xi, g)) <= 1e-12
+            ell = -np.array(pot, dtype=float)
+            assert abs(dual_value(DualPotential(ell=ell), xi, g) - value) <= 1e-12
+            _assert_warm_start_agrees(g, xi, pot)
+
+
+def test_point_pair_potential_is_the_cold_solve_potential():
+    for g in enumerate_connected_graphs(5):
+        for u in range(g.n):
+            for v in range(g.n):
+                if u != v:
+                    supply = np.eye(g.n)[u] - np.eye(g.n)[v]
+                    assert _point_sided(g, supply)[1].tolist() == _min_cost_flow(g, supply)[1]
+
+
+def test_point_sided_needs_one_source_or_sink(c4):
+    assert _point_sided(c4, np.array([0.5, -0.5, 0.5, -0.5])) is None
+    value, pot = _point_sided(c4, np.zeros(4))
+    assert value == 0.0 and not pot.any()
+    assert _point_sided(c4, np.array([0.25, -1.0, 0.5, 0.25]))[0] == 1.25
 
 
 @pytest.mark.parametrize(
